@@ -501,18 +501,21 @@ let rescale_factors ~timing ~precharge name =
   else if has_prefix ~prefix:"pre:" name then 1. /. precharge
   else 1.
 
-let rescale result ~timing ~precharge =
-  if not (timing > 0. && precharge > 0.) then
-    Err.fail "Constraints.rescale: factors must be positive";
+let rescale_by factor result =
   let problem =
     {
       result.problem with
       Problem.inequalities =
         List.map
           (fun (name, p) ->
-            let s = rescale_factors ~timing ~precharge name in
+            let s = factor name in
             (name, if s = 1. then p else Posy.scale s p))
           result.problem.Problem.inequalities;
     }
   in
   { result with problem }
+
+let rescale result ~timing ~precharge =
+  if not (timing > 0. && precharge > 0.) then
+    Err.fail "Constraints.rescale: factors must be positive";
+  rescale_by (rescale_factors ~timing ~precharge) result

@@ -101,6 +101,10 @@ val rescale : result -> timing:float -> precharge:float -> result
     evaluate/data-path budgets, [precharge] the per-stage precharge
     budgets.  Slope and bound constraints are untouched. *)
 
+val rescale_by : (string -> float) -> result -> result
+(** Scale each inequality by [factor name] — the problem-space twin of
+    {!Smart_gp.Solver.rescale_compiled} fed the same factors. *)
+
 val rescale_factors : timing:float -> precharge:float -> string -> float
 (** The per-constraint coefficient factor {!rescale} applies, keyed by
     constraint name ([1.] for slope/bound constraints).  Feed this to

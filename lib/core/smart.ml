@@ -164,7 +164,13 @@ let absint_candidates ?db (r : Request.t) =
         | Some set -> (Corners.nominal set).Corners.tech
         | None -> r.Request.tech
       in
-      let robust = r.Request.corners <> None in
+      (* The sizer widens the precharge range only where it calibrates:
+         on sets of two or more corners. *)
+      let robust =
+        match r.Request.corners with
+        | Some set -> Corners.length set > 1
+        | None -> false
+      in
       let errs =
         List.map
           (fun (_, info) ->

@@ -41,6 +41,11 @@ let default_set ?(base = Tech.default) () =
 let typ_only ?(base = Tech.default) () =
   of_corners [ corner ~base ~name:"typ" ~rc_scale:1.0 () ]
 
+(* One corner timing against [tech] as given (no rescale), named after
+   it.  Its program is never tagged, so the name needs no validation. *)
+let of_tech (tech : Tech.t) =
+  [ { corner_name = tech.Tech.name; rc_scale = 1.0; tech } ]
+
 let of_string ?(base = Tech.default) s =
   let tokens =
     List.filter (fun t -> t <> "") (String.split_on_char ',' (String.trim s))
@@ -110,31 +115,36 @@ type merged = {
 }
 
 let merge_generated per_corner =
-  if per_corner = [] then Err.fail "Corners: merge_generated on empty list";
-  (* The objective (area / weighted width) is a pure function of the
-     netlist's size labels — identical across corners; take any copy. *)
-  let _, (first : Constraints.result) = List.hd per_corner in
-  let problem =
-    Problem.merge ~objective:first.Constraints.problem.Problem.objective
-      (List.mapi
-         (fun i (_, (r : Constraints.result)) ->
-           (tag_of_index i, r.Constraints.problem))
-         per_corner)
-  in
-  let sum f = List.fold_left (fun acc (_, r) -> acc + f r) 0 per_corner in
-  let generated =
-    {
-      Constraints.problem;
-      area = first.Constraints.area;
-      path_count = first.Constraints.path_count;
-      timing_constraints = sum (fun r -> r.Constraints.timing_constraints);
-      slope_constraints = sum (fun r -> r.Constraints.slope_constraints);
-      precharge_constraints = sum (fun r -> r.Constraints.precharge_constraints);
-      stage_constraints = sum (fun r -> r.Constraints.stage_constraints);
-      dominated_pruned = sum (fun r -> r.Constraints.dominated_pruned);
-    }
-  in
-  { generated; per_corner }
+  match per_corner with
+  | [] -> Err.fail "Corners: merge_generated on empty list"
+  | [ (_, generated) ] ->
+    (* One corner: its own program, untagged — exactly what a
+       single-technology sizing compiles. *)
+    { generated; per_corner }
+  | (_, (first : Constraints.result)) :: _ ->
+    (* The objective (area / weighted width) is a pure function of the
+       netlist's size labels — identical across corners; take any copy. *)
+    let problem =
+      Problem.merge ~objective:first.Constraints.problem.Problem.objective
+        (List.mapi
+           (fun i (_, (r : Constraints.result)) ->
+             (tag_of_index i, r.Constraints.problem))
+           per_corner)
+    in
+    let sum f = List.fold_left (fun acc (_, r) -> acc + f r) 0 per_corner in
+    let generated =
+      {
+        Constraints.problem;
+        area = first.Constraints.area;
+        path_count = first.Constraints.path_count;
+        timing_constraints = sum (fun r -> r.Constraints.timing_constraints);
+        slope_constraints = sum (fun r -> r.Constraints.slope_constraints);
+        precharge_constraints = sum (fun r -> r.Constraints.precharge_constraints);
+        stage_constraints = sum (fun r -> r.Constraints.stage_constraints);
+        dominated_pruned = sum (fun r -> r.Constraints.dominated_pruned);
+      }
+    in
+    { generated; per_corner }
 
 (* When every corner is a uniform RC excursion of the nominal one
    ([Tech.rc_ratio] recognises each tech as [Tech.scaled] of the nominal
@@ -193,11 +203,15 @@ let generate_robust ?(reductions = Paths.all_reductions)
     merge_generated (List.combine s results)
 
 let rescale_factors ~timing ~precharge name =
-  match Problem.split_scenario name with
-  | None -> 1.
-  | Some (tag, rest) -> (
-    match index_of_tag tag with
-    | Some i when i >= 0 && i < Array.length timing ->
-      Constraints.rescale_factors ~timing:timing.(i) ~precharge:precharge.(i)
-        rest
-    | _ -> 1.)
+  if Array.length timing = 1 then
+    (* A one-corner program is untagged ([merge_generated]). *)
+    Constraints.rescale_factors ~timing:timing.(0) ~precharge:precharge.(0) name
+  else
+    match Problem.split_scenario name with
+    | None -> 1.
+    | Some (tag, rest) -> (
+      match index_of_tag tag with
+      | Some i when i >= 0 && i < Array.length timing ->
+        Constraints.rescale_factors ~timing:timing.(i) ~precharge:precharge.(i)
+          rest
+      | _ -> 1.)

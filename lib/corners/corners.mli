@@ -41,8 +41,13 @@ val default_set : ?base:Tech.t -> unit -> set
 (** The canonical [fast] (0.6×), [typ] (1.0×), [slow] (1.4×) set. *)
 
 val typ_only : ?base:Tech.t -> unit -> set
-(** Just the nominal corner — robust sizing over it degenerates to the
-    single-corner flow (useful for A/B overhead measurements). *)
+(** Just the nominal corner — robust sizing over it is the single-corner
+    flow at that corner (useful for A/B overhead measurements). *)
+
+val of_tech : Tech.t -> set
+(** The one-corner set that times against [tech] exactly as given
+    ([rc_scale] 1, named after the technology) — what single-technology
+    sizing sizes. *)
 
 val of_string : ?base:Tech.t -> string -> (set, string) result
 (** Parse the CLI syntax: comma-separated corner names, each a builtin
@@ -65,7 +70,8 @@ type merged = {
       (** the merged program: one shared width vector, every corner's
           constraints tagged [c<i>@<name>]; counts are summed over
           corners, [area] and [path_count] are per-corner (identical
-          across corners — the netlist is shared) *)
+          across corners — the netlist is shared).  A one-corner set's
+          program is that corner's own, untagged. *)
   per_corner : (corner * Constraints.result) list;
       (** each corner's own generated program, in set order — the
           problem-space reference for certification *)
@@ -125,6 +131,7 @@ val rescale_factors :
 (** Per-constraint budget factor for the merged program, keyed by merged
     constraint name: corner [i]'s constraints are rescaled by its own
     [timing.(i)] / [precharge.(i)] entries (via
-    {!Constraints.rescale_factors}); unmerged names get [1.].  Feed to
-    {!Smart_gp.Solver.rescale_compiled} — the robust respecification
+    {!Constraints.rescale_factors}); unmerged names get [1.], except
+    that one-entry arrays address a one-corner set's untagged program.
+    Feed to {!Smart_gp.Solver.rescale_compiled} — the respecification
     loop's per-corner retargeting. *)

@@ -307,9 +307,8 @@ type analysis_report = {
 
 module Cache = struct
   type cached =
-    | Sized of (Sizer.outcome, Err.t) result
+    | Sized of (Sizer.robust_outcome, Err.t) result
     | Min of (Sizer.min_delay, Err.t) result
-    | Robust of (Sizer.robust_outcome, Err.t) result
     | Analysis of analysis_report
 
   type entry = { mutable last_use : int; value : cached }
@@ -432,7 +431,7 @@ end
    matches, so a newer binary can never be served an older binary's
    solution (and vice versa).  Settable so tests can flip it and assert
    the miss, and so embedders can namespace their own model changes. *)
-let version_stamp = Atomic.make "smart-solve-2"
+let version_stamp = Atomic.make "smart-solve-3"
 let cache_version () = Atomic.get version_stamp
 let set_cache_version v = Atomic.set version_stamp v
 
@@ -449,11 +448,11 @@ end
 (* The cache key digests the structural identity of a solve: netlist
    wiring and size-label set (the name is dropped so structurally equal
    candidates share entries), the delay specification, the technology —
-   or, for robust solves, the full corner list (names, cumulative
-   rc_scale and each corner's scaled technology), so a typ-only entry can
-   never serve a 3-corner request and vice versa — and the full sizer
-   options.  All components are plain data, so a Marshal digest is a
-   faithful structural hash. *)
+   and, for sizings, the full corner list (names, cumulative rc_scale and
+   each corner's scaled technology), so a typ-only entry can never serve
+   a 3-corner request and vice versa — and the full sizer options.  All
+   components are plain data, so a Marshal digest is a faithful
+   structural hash. *)
 let solve_key ~tag ?corners ~(options : Sizer.options) tech (nl : Netlist.t) spec =
   let structure =
     ( Array.map (fun n -> (n.Netlist.net_name, n.Netlist.net_kind)) nl.Netlist.nets,
@@ -594,10 +593,10 @@ let decode_entry blob : Cache.cached option =
 
 (* Two-level lookup: memory first, then the persistent store; a store hit
    is promoted into the memory LRU so repeats are pure memory hits. *)
-let lookup t ~tag ?corners ~options tech netlist spec =
+let lookup t key =
   if t.cache.Cache.capacity <= 0 then ("", None)
   else begin
-    let key = solve_key ~tag ?corners ~options tech netlist spec in
+    let key = Lazy.force key in
     match Cache.find t.cache key with
     | Some v -> (key, Some (v, Trace.Hit))
     | None -> (
@@ -628,14 +627,20 @@ let publish t key v =
       | None -> ())
   end
 
+(* A sizing's key: the corner set, digested alongside its nominal
+   technology. *)
+let sizing_key ~options corners netlist spec =
+  solve_key ~tag:"size" ~corners ~options (Corners.nominal corners).Corners.tech
+    netlist spec
+
 (* Warm the memory cache from the persistent store without touching the
    hit/miss statistics: a probe, not a request.  Returns whether the
-   entry is now resident in memory.  "size"-tagged entries only — warm-up
-   feeds the plain sizing path. *)
+   entry is now resident in memory.  Plain sizing entries only — warm-up
+   feeds the single-technology path. *)
 let prefetch t ~options tech netlist spec =
   if t.cache.Cache.capacity <= 0 then false
   else begin
-    let key = solve_key ~tag:"size" ~options tech netlist spec in
+    let key = sizing_key ~options (Corners.of_tech tech) netlist spec in
     if Cache.mem t.cache key then true
     else
       match Atomic.get t.store with
@@ -661,26 +666,39 @@ let map t f xs = Pool.map ~workers:t.pool_width f xs
 
 let caching t = t.cache.Cache.capacity > 0
 
-let size t ?label ~options tech netlist spec =
-  let label = match label with Some l -> l | None -> netlist.Netlist.name in
-  match lookup t ~tag:"size" ~options tech netlist spec with
-  | _, Some (Cache.Sized r, status) ->
-    let iterations, gp_newton =
-      match r with
-      | Ok o -> (o.Sizer.iterations, o.Sizer.gp_newton_iterations)
-      | Error _ -> (0, 0)
+(* The engine's verify fan-out for robust sizing: each respecification
+   round's per-corner golden STA runs land on the worker pool. *)
+let pool_mapper t =
+  { Sizer.map = (fun f xs -> Pool.map ~workers:t.pool_width f xs) }
+
+(* The one sizing path: a corner-set sizing, memoized under the set's
+   digest, traced as one [Sizing] event labelled [label]. *)
+let size_set t ~label ~mapper ~options corners netlist spec =
+  let emit_sizing ~wall_s ~cache r =
+    let iterations, gp_newton, sta_verifies =
+      match (r, cache) with
+      | Ok { Sizer.robust = o; _ }, (Trace.Miss | Trace.Bypass) ->
+        (o.Sizer.iterations, o.Sizer.gp_newton_iterations, o.Sizer.sta_verifies)
+      | Ok { Sizer.robust = o; _ }, (Trace.Hit | Trace.Disk) ->
+        (* Served, not run: no golden STA ran for it. *)
+        (o.Sizer.iterations, o.Sizer.gp_newton_iterations, 0)
+      | Error _, _ -> (0, 0, 0)
     in
     emit t
       (Trace.Sizing
          {
            label;
-           wall_s = 0.;
+           wall_s;
            iterations;
            gp_newton;
-           sta_verifies = 0;
-           cache = status;
+           sta_verifies;
+           cache;
            ok = Result.is_ok r;
-         });
+         })
+  in
+  match lookup t (lazy (sizing_key ~options corners netlist spec)) with
+  | _, Some (Cache.Sized r, status) ->
+    emit_sizing ~wall_s:0. ~cache:status r;
     r
   | key, _ ->
     let t0 = Unix.gettimeofday () in
@@ -689,10 +707,9 @@ let size t ?label ~options tech netlist spec =
          a failed result without touching the sizer. *)
       match Smart_util.Fault.fire "engine.worker" with
       | Some (Smart_util.Fault.Raise msg) -> raise (Err.Smart_error msg)
-      | Some (Smart_util.Fault.Error_result msg) ->
-        Error (Err.Gp_failure msg)
+      | Some (Smart_util.Fault.Error_result msg) -> Error (Err.Gp_failure msg)
       | Some (Smart_util.Fault.Scale _) | None ->
-        Sizer.size_typed ~options tech netlist spec
+        Sizer.size_robust_typed ~options ~mapper corners netlist spec
     in
     let wall_s = Unix.gettimeofday () -. t0 in
     let cache =
@@ -704,99 +721,29 @@ let size t ?label ~options tech netlist spec =
       end
       else Trace.Bypass
     in
-    let iterations, gp_newton =
-      match r with
-      | Ok o -> (o.Sizer.iterations, o.Sizer.gp_newton_iterations)
-      | Error _ -> (0, 0)
-    in
-    emit t
-      (Trace.Sizing
-         {
-           label;
-           wall_s;
-           iterations;
-           gp_newton;
-           sta_verifies = 2 * iterations;
-           cache;
-           ok = Result.is_ok r;
-         });
+    emit_sizing ~wall_s ~cache r;
     r
-
-(* The engine's verify fan-out for robust sizing: each respecification
-   round's per-corner golden STA runs land on the worker pool. *)
-let pool_mapper t = { Sizer.map = (fun f xs -> Pool.map ~workers:t.pool_width f xs) }
 
 let size_robust t ?label ?(pooled_verify = true) ~options corners netlist spec =
-  let label =
-    let base = match label with Some l -> l | None -> netlist.Netlist.name in
-    Printf.sprintf "%s[%s]" base (Corners.to_string corners)
+  let base = match label with Some l -> l | None -> netlist.Netlist.name in
+  let mapper =
+    if pooled_verify && t.pool_width > 1 then pool_mapper t
+    else Sizer.sequential_mapper
   in
-  let nominal_tech = (Corners.nominal corners).Corners.tech in
-  match lookup t ~tag:"robust" ~corners ~options nominal_tech netlist spec with
-  | _, Some (Cache.Robust r, status) ->
-    let iterations, gp_newton =
-      match r with
-      | Ok o ->
-        (o.Sizer.robust.Sizer.iterations,
-         o.Sizer.robust.Sizer.gp_newton_iterations)
-      | Error _ -> (0, 0)
-    in
-    emit t
-      (Trace.Sizing
-         {
-           label;
-           wall_s = 0.;
-           iterations;
-           gp_newton;
-           sta_verifies = 0;
-           cache = status;
-           ok = Result.is_ok r;
-         });
-    r
-  | key, _ ->
-    let t0 = Unix.gettimeofday () in
-    let mapper =
-      if pooled_verify && t.pool_width > 1 then pool_mapper t
-      else Sizer.sequential_mapper
-    in
-    let r =
-      match Smart_util.Fault.fire "engine.worker" with
-      | Some (Smart_util.Fault.Raise msg) -> raise (Err.Smart_error msg)
-      | Some (Smart_util.Fault.Error_result msg) -> Error (Err.Gp_failure msg)
-      | Some (Smart_util.Fault.Scale _) | None ->
-        Sizer.size_robust_typed ~options ~mapper corners netlist spec
-    in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let cache =
-      if caching t then begin
-        if Result.is_ok r then publish t key (Cache.Robust r);
-        Trace.Miss
-      end
-      else Trace.Bypass
-    in
-    let iterations, gp_newton =
-      match r with
-      | Ok o ->
-        (o.Sizer.robust.Sizer.iterations,
-         o.Sizer.robust.Sizer.gp_newton_iterations)
-      | Error _ -> (0, 0)
-    in
-    emit t
-      (Trace.Sizing
-         {
-           label;
-           wall_s;
-           iterations;
-           gp_newton;
-           sta_verifies = Corners.length corners * iterations;
-           cache;
-           ok = Result.is_ok r;
-         });
-    r
+  size_set t
+    ~label:(Printf.sprintf "%s[%s]" base (Corners.to_string corners))
+    ~mapper ~options corners netlist spec
+
+let size t ?label ~options tech netlist spec =
+  let label = match label with Some l -> l | None -> netlist.Netlist.name in
+  Result.map
+    (fun ro -> ro.Sizer.robust)
+    (size_set t ~label ~mapper:Sizer.sequential_mapper ~options
+       (Corners.of_tech tech) netlist spec)
 
 let minimize_delay t ?label ~options tech netlist spec =
   let label = match label with Some l -> l | None -> netlist.Netlist.name in
-  match lookup t ~tag:"min-delay" ~options tech netlist spec with
+  match lookup t (lazy (solve_key ~tag:"min-delay" ~options tech netlist spec)) with
   | _, Some (Cache.Min r, status) ->
     emit t (Trace.Min_delay { label; wall_s = 0.; cache = status });
     r
@@ -821,7 +768,7 @@ let minimize_delay t ?label ~options tech netlist spec =
    outcomes it also survives across binaries. *)
 let analyze t ?label ~options tech netlist spec =
   let label = match label with Some l -> l | None -> netlist.Netlist.name in
-  match lookup t ~tag:"absint" ~options tech netlist spec with
+  match lookup t (lazy (solve_key ~tag:"absint" ~options tech netlist spec)) with
   | _, Some (Cache.Analysis a, status) ->
     emit t (Trace.Analysis { label; wall_s = 0.; cache = status });
     a
@@ -865,28 +812,25 @@ let analyze t ?label ~options tech netlist spec =
     emit t (Trace.Analysis { label; wall_s; cache });
     a
 
-let size_all t ~options tech spec named =
-  let indexed = List.mapi (fun i nv -> (i, nv)) named in
+(* Size every named candidate across the pool.  A worker that raises
+   degrades to a structured error in its slot instead of killing the
+   whole batch. *)
+let batch t size named =
   map t
     (fun (i, (name, nl)) ->
-      (* Degrade per item: a worker that raises turns into a structured
-         error in its slot instead of killing the whole batch. *)
       ( name,
-        try size t ~label:name ~options tech nl spec
+        try size name nl
         with Err.Smart_error msg ->
           Error (Err.Worker_crash { item = i; detail = msg }) ))
-    indexed
+    (List.mapi (fun i nv -> (i, nv)) named)
 
 let size_robust_all t ~options corners spec named =
-  let indexed = List.mapi (fun i nv -> (i, nv)) named in
-  map t
-    (fun (i, (name, nl)) ->
-      (* Candidates already saturate the pool; the per-candidate corner
-         verifies stay sequential to avoid nested domain spawns. *)
-      ( name,
-        try
-          size_robust t ~label:name ~pooled_verify:false ~options corners nl
-            spec
-        with Err.Smart_error msg ->
-          Error (Err.Worker_crash { item = i; detail = msg }) ))
-    indexed
+  (* Candidates already saturate the pool; the per-candidate corner
+     verifies stay sequential to avoid nested domain spawns. *)
+  batch t
+    (fun name nl ->
+      size_robust t ~label:name ~pooled_verify:false ~options corners nl spec)
+    named
+
+let size_all t ~options tech spec named =
+  batch t (fun name nl -> size t ~label:name ~options tech nl spec) named

@@ -48,7 +48,9 @@ module Trace : sig
         wall_s : float;
         iterations : int;  (** outer respecification iterations *)
         gp_newton : int;  (** cumulative inner Newton steps *)
-        sta_verifies : int;  (** golden-timer runs (2 per iteration) *)
+        sta_verifies : int;
+            (** golden-timer runs the sizing made (0 when served from a
+                cache or failed) *)
         cache : cache_status;
         ok : bool;
       }  (** one per candidate sizing routed through an engine *)
@@ -219,7 +221,10 @@ val size :
   Netlist.t ->
   Constraints.spec ->
   (Sizer.outcome, Err.t) result
-(** Memoized {!Sizer.size_typed}; emits one {!Trace.Sizing} span. *)
+(** Memoized {!Sizer.size_typed}: {!size_robust}'s sizing over the
+    one-corner set {!Corners.of_tech}[ tech], its verifies sequential,
+    projected to the joint outcome.  Emits one {!Trace.Sizing} span
+    labelled [<name>]. *)
 
 val size_robust :
   t ->
@@ -230,14 +235,15 @@ val size_robust :
   Netlist.t ->
   Constraints.spec ->
   (Sizer.robust_outcome, Err.t) result
-(** Memoized {!Sizer.size_robust_typed}.  The per-round per-corner golden
-    STA verifies are fanned across this engine's worker pool unless
-    [pooled_verify] is [false] (set by {!size_robust_all}, whose
-    candidates already saturate the pool).  Cache keys digest the full
-    corner list — names, cumulative [rc_scale] and each corner's scaled
-    technology — alongside the structural solve identity, so a typ-only
-    entry never serves a multi-corner request (or vice versa).  Emits one
-    {!Trace.Sizing} span labelled [<name>[<corners>]]. *)
+(** Memoized {!Sizer.size_robust_typed} — the engine's one sizing path.
+    The per-round per-corner golden STA verifies are fanned across this
+    engine's worker pool unless [pooled_verify] is [false] (set by
+    {!size_robust_all}, whose candidates already saturate the pool).
+    Cache keys digest the full corner list — names, cumulative
+    [rc_scale] and each corner's scaled technology — alongside the
+    structural solve identity, so a typ-only entry never serves a
+    multi-corner request (or vice versa).  Emits one {!Trace.Sizing} span
+    labelled [<name>[<corners>]]. *)
 
 val minimize_delay :
   t ->
@@ -284,8 +290,10 @@ val size_all :
   Constraints.spec ->
   (string * Netlist.t) list ->
   (string * (Sizer.outcome, Err.t) result) list
-(** Size every named candidate against one spec across the pool.
-    Results are returned in input order.  A worker that raises
+(** Size every named candidate against one spec across the pool, each
+    through {!size} — {!size_robust_all} over {!Corners.of_tech}[ tech],
+    projected and labelled [<name>].  Results are returned in input
+    order.  A worker that raises
     {!Smart_util.Err.Smart_error} on one item degrades to
     [Error (Worker_crash _)] in that item's slot; the rest of the batch
     is unaffected. *)

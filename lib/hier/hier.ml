@@ -918,6 +918,7 @@ let synthesize_outcome ctx (spec : Constraints.spec) tbl sta ~prech ~iterations
       List.concat_map (fun o -> o.Sizer.gp_newton_per_round) outcomes;
     gp_families = 0;
     certified_rounds = sum (fun o -> o.Sizer.certified_rounds);
+    sta_verifies = sum (fun o -> o.Sizer.sta_verifies);
     converged = true;
     constraint_stats = stats;
     sta;

@@ -85,6 +85,7 @@ type outcome = {
   gp_newton_per_round : int list;
   gp_families : int;
   certified_rounds : int;
+  sta_verifies : int;
   converged : bool;
   constraint_stats : Constraints.result;
   sta : Sta.t;
@@ -104,39 +105,143 @@ let fn_of_sizing sizing =
     | Some w -> w
     | None -> Smart_util.Err.fail "Sizer: no width for label %s" l
 
-(* The respecification loop proper; [gp_problem] is [generated]'s program
-   after the absint gate (and possibly presolve reduction) — same variable
-   set and constraint names, so rescale-by-name and warm starts are
-   unaffected. *)
-let size_typed_loop ~options tech netlist spec
-    (generated : Constraints.result) gp_problem =
+type mapper = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
+
+let sequential_mapper = { map = (fun f xs -> List.map f xs) }
+
+type corner_report = {
+  corner_name : string;
+  corner_delay : float;
+  corner_precharge : float;
+  corner_slack : float;
+}
+
+type robust_outcome = {
+  robust : outcome;
+  per_corner : corner_report list;
+  binding_corner : string;
+}
+
+(* The Fig. 4 loop over a corner set.  A one-corner set compiles exactly
+   the single-technology program (untagged constraint names); a larger
+   set compiles the merged program, every corner's constraints tagged and
+   budgeted separately.  Two steps only pay on merged programs and run
+   only there: calibrating each corner's budget from the pre-solve
+   sizing, and gating a corner's relaxation on its model constraints
+   being near-active. *)
+let size_set ?(options = default_options) ?(mapper = sequential_mapper)
+    corners netlist spec =
+  let corner_list = Corners.to_list corners in
+  let indexed = List.mapi (fun i c -> (i, c)) corner_list in
+  let n = List.length corner_list in
+  let multi = n > 1 in
+  (* The structurally worst corner (largest RC product) anchors the
+     min-delay pre-solve below. *)
+  let worst_corner =
+    List.fold_left
+      (fun (bc : Corners.corner) (cc : Corners.corner) ->
+        if cc.Corners.rc_scale > bc.Corners.rc_scale then cc else bc)
+      (List.hd corner_list) (List.tl corner_list)
+  in
+  let gen_min_delay () =
+    Constraints.generate_min_delay ~reductions:options.reductions
+      worst_corner.Corners.tech netlist spec
+  in
+  (* One batch of constraint generations through the mapper: the corner
+     programs, plus — for a merged program the hint does not spare — the
+     pre-solve's min-delay program.  A uniform RC-scaled set collapses to
+     one projected generation pass ([Corners.generate_projected]);
+     heterogeneous sets generate per corner, where an engine-supplied
+     mapper can fan the independent tasks across its worker pool.  A
+     single corner generates its program plainly and the min-delay
+     program only once the absint gate has passed. *)
+  let gen_corner (c : Corners.corner) =
+    Constraints.generate ~reductions:options.reductions
+      ~objective:options.objective c.Corners.tech netlist spec
+  in
+  let tasks =
+    (if multi && Corners.projection_scales corners <> None then [ `Projected ]
+     else List.map (fun c -> `Corner c) corner_list)
+    @ if multi && options.min_delay_hint = None then [ `Min_delay ] else []
+  in
+  let generations =
+    mapper.map
+      (function
+        | `Projected -> (
+          match
+            Corners.generate_projected ~reductions:options.reductions
+              ~objective:options.objective corners netlist spec
+          with
+          | Some per_corner -> List.map snd per_corner
+          | None ->
+            (* A coefficient lost its RC decomposition: regenerate the
+               honest way. *)
+            List.map gen_corner corner_list)
+        | `Corner c -> [ gen_corner c ]
+        | `Min_delay -> [ gen_min_delay () ])
+      tasks
+    |> List.concat
+  in
+  let corner_gens = List.filteri (fun i _ -> i < n) generations in
+  let batched_min_delay = List.nth_opt generations n in
+  let generated =
+    (Corners.merge_generated (List.combine corner_list corner_gens))
+      .Corners.generated
+  in
+  (* Reject provably-infeasible specifications (at any corner) before
+     the program is compiled or any GP solve runs (no gp.solve span is
+     emitted on the fast-fail path). *)
+  match
+    absint_gate ~robust:multi ~options
+      ~target_ps:spec.Constraints.target_delay generated.Constraints.problem
+  with
+  | Error e -> Error e
+  | Ok gp_problem ->
+  let target = spec.Constraints.target_delay in
   let precharge_budget =
-    match spec.Constraints.precharge_budget with
-    | Some b -> b
-    | None -> spec.Constraints.target_delay
+    match spec.Constraints.precharge_budget with Some b -> b | None -> target
   in
   let tol = options.tolerance in
   let has_pre = generated.Constraints.precharge_constraints > 0 in
-  let meets o =
-    o.achieved_delay <= spec.Constraints.target_delay *. (1. +. tol)
-    && ((not has_pre) || o.achieved_precharge <= precharge_budget *. (1. +. tol))
-  in
-  (* Outer respecification loop.  The model-space budgets (timing_factor,
-     precharge_factor) are internal knobs: they are retargeted each round
-     by the golden-vs-spec mismatch, in both directions -- tightened when
-     the golden timer misses, relaxed when the model proves pessimistic
-     (including the case where the model cannot certify the spec at all:
-     infeasibility just means "relax the knob and let the golden check
-     decide").  The cheapest sizing that passes the golden check wins. *)
+  (* Outer respecification loop.  Each corner's model-space budgets
+     (timing, precharge) are internal knobs, retargeted every round by
+     that corner's golden-vs-spec mismatch in both directions — tightened
+     when the golden timer misses, relaxed when the model proves
+     pessimistic (including the case where the model cannot certify the
+     spec at all: infeasibility just means "relax the knob and let the
+     golden check decide").  Acceptance and convergence key on the worst
+     golden-verified corner; the cheapest sizing that passes every
+     corner's golden check wins. *)
+  let timing = Array.make n 1.0 in
+  let pre_f = Array.make n 1.0 in
+  let factors () = Corners.rescale_factors ~timing ~precharge:pre_f in
+  (* Each corner's budget-scaled constraint posynomials, for calibration
+     and the tightness test of merged programs. *)
+  let timing_posys = Array.make n [] in
+  let pre_posys = Array.make n [] in
+  if multi then
+    List.iter
+      (fun (name, p) ->
+        match Problem.split_scenario name with
+        | Some (tag, rest) -> (
+          match Corners.index_of_tag tag with
+          | Some i when i >= 0 && i < n ->
+            if
+              String.starts_with ~prefix:"t:" rest
+              || String.starts_with ~prefix:"stg:" rest
+            then timing_posys.(i) <- p :: timing_posys.(i)
+            else if String.starts_with ~prefix:"pre:" rest then
+              pre_posys.(i) <- p :: pre_posys.(i)
+          | _ -> ())
+        | None -> ())
+      generated.Constraints.problem.Problem.inequalities;
   let best = ref None in
   let total_newton = ref 0 in
+  let sta_runs = ref 0 in
   let iterations = ref 0 in
   let result = ref None in
-  let timing_factor = ref 1.0 in
-  let precharge_factor = ref 1.0 in
   (* Compile the program once; every respecification round only patches
-     the compiled budget coefficients and re-solves, warm-started from the
-     previous round's log-space solution. *)
+     the compiled budget coefficients and re-solves, warm-started. *)
   let prepared = Solver.prepare ~structure:options.gp_structure gp_problem in
   let gp_families = (Solver.structure_stats prepared).Solver.families in
   let warm = ref None in
@@ -158,6 +263,7 @@ let size_typed_loop ~options tech netlist spec
   let newton_per_round = ref [] in
   let certified = ref 0 in
   let remember sol =
+    total_newton := !total_newton + sol.Solver.newton_iterations;
     newton_per_round := sol.Solver.newton_iterations :: !newton_per_round;
     if sol.Solver.warm_started then incr warm_rounds;
     if options.gp_warm_start && ((not !anchored) || not sol.Solver.warm_started)
@@ -168,40 +274,90 @@ let size_typed_loop ~options tech netlist spec
         anchored := true
       | None -> ()
   in
-  (* Pre-solve: one min-delay solve reveals how fast the model thinks the
-     topology can go.  If that is slower than the target, the main loop
-     would burn rounds discovering the same thing through infeasibility;
-     start with the implied relaxation instead.  Its solution also seeds
-     the first round's warm start (the variable sets overlap exactly).
-     Callers sweeping many targets supply the hint to skip the pre-solve. *)
+  (* Golden verification, evaluate then precharge, at every corner; the
+     engine supplies a mapper that fans the corners across its pool. *)
+  let verify sizing_fn =
+    sta_runs := !sta_runs + (2 * n);
+    mapper.map
+      (fun (i, (c : Corners.corner)) ->
+        let analyze mode =
+          Sta.analyze ~mode ?input_slope:spec.Constraints.input_slope
+            c.Corners.tech netlist ~sizing:sizing_fn
+        in
+        let eval = analyze Sta.Evaluate in
+        let pre = analyze Sta.Precharge in
+        (* A precharge STA that reached no output folds its max from 0,
+           which would trivially "meet" any budget.  When the program
+           carries precharge constraints, report the distinction as an
+           unmeetable (infinite) precharge delay instead of a met one. *)
+        let achieved_pre =
+          if has_pre && pre.Sta.reachable_outputs = 0 then infinity
+          else pre.Sta.max_delay
+        in
+        (i, c, eval, achieved_pre))
+      indexed
+  in
+  (* Pre-solve: one min-delay solve on the structurally worst corner
+     reveals how fast the model thinks the topology can go.  If that is
+     slower than the target, the loop would burn rounds discovering the
+     same thing through infeasibility; start with the implied relaxation
+     instead.  Its solution also seeds the first round's warm start (the
+     variable sets overlap exactly).  Callers sweeping many targets
+     supply the hint to skip the pre-solve. *)
+  let relax_to d_model =
+    if d_model > target then Array.fill timing 0 n (1.1 *. d_model /. target)
+  in
   (match options.min_delay_hint with
-  | Some d_model ->
-    if d_model > spec.Constraints.target_delay then
-      timing_factor := 1.1 *. d_model /. spec.Constraints.target_delay
+  | Some d_model -> relax_to d_model
   | None -> (
+    let min_delay =
+      match batched_min_delay with Some g -> g | None -> gen_min_delay ()
+    in
     match
-      Solver.solve ~options:options.gp_options
-        (Constraints.generate_min_delay ~reductions:options.reductions tech
-           netlist spec)
-          .Constraints.problem
+      Solver.solve ~options:options.gp_options min_delay.Constraints.problem
     with
     | Error _ -> ()
     | Ok sol -> (
+      total_newton := sol.Solver.newton_iterations;
       match sol.Solver.status with
       | Solver.Infeasible | Solver.Iteration_limit -> ()
       | Solver.Optimal ->
-        total_newton := sol.Solver.newton_iterations;
-        let d_model = Solver.lookup sol Constraints.delay_variable in
-        if d_model > spec.Constraints.target_delay then
-          timing_factor := 1.1 *. d_model /. spec.Constraints.target_delay;
+        relax_to (Solver.lookup sol Constraints.delay_variable);
         if options.gp_warm_start then
-          warm := Solver.warm_of_values prepared sol.Solver.values)));
+          warm := Solver.warm_of_values prepared sol.Solver.values;
+        (* Calibrate each corner's budget to its model-vs-golden gap at
+           the pre-solve sizing (one STA sweep).  The first verified
+           round would discover the same factors and retarget — but one
+           round late: the budgets then shift under the round-1 warm
+           anchor, whose margin a few-percent tightening on the binding
+           corner already exceeds, and round 2 falls back to a phase-I
+           re-centering that costs more Newton steps than the rest of
+           the loop combined.  On one corner the calibrated start lands
+           the accepted sizings on a wider optimum instead. *)
+        if multi then begin
+          let presizing_fn = fn_of_sizing (sizing_of_solution netlist sol) in
+          let max_eval posys =
+            List.fold_left
+              (fun acc p -> Float.max acc (Posy.eval presizing_fn p))
+              0. posys
+          in
+          let clamp c = Float.max 0.5 (Float.min 2.0 c) in
+          List.iter
+            (fun (i, _, (e : Sta.t), pre) ->
+              let model_t = target *. max_eval timing_posys.(i) in
+              if e.Sta.max_delay > 0. && model_t > 0. then
+                timing.(i) <- timing.(i) *. clamp (model_t /. e.Sta.max_delay);
+              if has_pre && pre > 0. && pre < infinity then begin
+                let model_p = precharge_budget *. max_eval pre_posys.(i) in
+                if model_p > 0. then
+                  pre_f.(i) <- pre_f.(i) *. clamp (model_p /. pre)
+              end)
+            (verify presizing_fn)
+        end)));
   (try
      for iter = 1 to options.max_iterations do
        iterations := iter;
-       Solver.rescale_compiled prepared
-         (Constraints.rescale_factors ~timing:!timing_factor
-            ~precharge:!precharge_factor);
+       Solver.rescale_compiled prepared (factors ());
        let resolved =
          (* Fault site: lets tests force a GP failure (or a worker-domain
             exception) out of an otherwise healthy solve. *)
@@ -218,13 +374,11 @@ let size_typed_loop ~options tech netlist spec
        | Ok sol -> (
          remember sol;
          (if options.certify && sol.Solver.status = Solver.Optimal then
-            (* Certify against the problem-space rescale — an independent
-               reconstruction of what [rescale_compiled] patched into the
-               compiled program, checked without trusting solver state. *)
-            let scaled =
-              Constraints.rescale generated ~timing:!timing_factor
-                ~precharge:!precharge_factor
-            in
+            (* Certify against the problem-space rescale of the unreduced
+               program — an independent reconstruction of what
+               [rescale_compiled] patched into the compiled one, checked
+               without trusting solver state. *)
+            let scaled = Constraints.rescale_by (factors ()) generated in
             let report =
               Smart_gp.Certify.check scaled.Constraints.problem sol
             in
@@ -240,442 +394,26 @@ let size_typed_loop ~options tech netlist spec
             end);
          match sol.Solver.status with
          | Solver.Infeasible ->
-           (* Model-space infeasible: relax the internal budgets.  Give up
-              only when even a wide-open model cannot be satisfied. *)
-           timing_factor := !timing_factor *. 1.35;
-           precharge_factor := !precharge_factor *. 1.15;
-           if !timing_factor > 24. then begin
-             result :=
-               Some
-                 (Error
-                    (Err.Infeasible_spec
-                       {
-                         target_ps = spec.Constraints.target_delay;
-                         detail = "within device bounds";
-                       }));
-             raise Exit
-           end
-         | Solver.Optimal | Solver.Iteration_limit ->
-           let sizing = sizing_of_solution netlist sol in
-           let sizing_fn = fn_of_sizing sizing in
-           let eval_sta =
-             Sta.analyze ~mode:Sta.Evaluate
-               ?input_slope:spec.Constraints.input_slope tech netlist
-               ~sizing:sizing_fn
-           in
-           let pre_sta =
-             Sta.analyze ~mode:Sta.Precharge
-               ?input_slope:spec.Constraints.input_slope tech netlist
-               ~sizing:sizing_fn
-           in
-           total_newton := !total_newton + sol.Solver.newton_iterations;
-           (* A precharge STA that reached no output folds its max from 0,
-              which would trivially "meet" any budget.  When the program
-              carries precharge constraints, report the distinction as an
-              unmeetable (infinite) precharge delay instead of a met one. *)
-           let achieved_precharge =
-             if has_pre && pre_sta.Sta.reachable_outputs = 0 then infinity
-             else pre_sta.Sta.max_delay
-           in
-           let outcome =
-             {
-               sizing;
-               sizing_fn;
-               achieved_delay = eval_sta.Sta.max_delay;
-               achieved_precharge;
-               target_delay = spec.Constraints.target_delay;
-               total_width = Netlist.total_width netlist sizing_fn;
-               clock_load_width = Netlist.clock_load_width netlist sizing_fn;
-               iterations = iter;
-               gp_newton_iterations = !total_newton;
-               gp_warm_rounds = !warm_rounds;
-               gp_newton_per_round = List.rev !newton_per_round;
-               gp_families;
-               certified_rounds = !certified;
-               converged = true;
-               constraint_stats = generated;
-               sta = eval_sta;
-             }
-           in
-           let improved =
-             match !best with
-             | Some b -> outcome.total_width < b.total_width *. 0.997
-             | None -> true
-           in
-           if meets outcome && improved then best := Some outcome;
-           let miss_t = eval_sta.Sta.max_delay /. spec.Constraints.target_delay in
-           let miss_p =
-             if has_pre then
-               if achieved_precharge = infinity then 1.
-               else achieved_precharge /. precharge_budget
-             else 1.
-           in
-           Log.debug (fun m ->
-               m "iteration %d: delay %.1f/%.1f ps (x%.3f), precharge %.1f/%.1f"
-                 iter eval_sta.Sta.max_delay spec.Constraints.target_delay
-                 !timing_factor pre_sta.Sta.max_delay precharge_budget);
-           (* Converged: golden sits at the spec and the best width has
-              stopped improving. *)
-           if
-             miss_t >= 1. -. tol && miss_t <= 1. +. tol && miss_p <= 1. +. tol
-             && (miss_p >= 1. -. (3. *. tol) || not has_pre)
-             && (not (meets outcome && improved))
-           then raise Exit;
-           let retarget factor miss =
-             let adj = (1. /. miss) ** options.damping in
-             (* Bound each move to avoid oscillation. *)
-             let adj = Float.max 0.5 (Float.min 2.0 adj) in
-             factor *. adj
-           in
-           if miss_t > 1. +. tol || miss_t < 1. -. tol then
-             timing_factor := retarget !timing_factor miss_t;
-           if has_pre && (miss_p > 1. +. tol || miss_p < 1. -. tol) then
-             precharge_factor := retarget !precharge_factor miss_p)
-     done
-   with Exit -> ());
-  match !result with
-  | Some r -> r
-  | None -> (
-    match !best with
-    | Some outcome ->
-      Ok
-        {
-          outcome with
-          iterations = !iterations;
-          gp_warm_rounds = !warm_rounds;
-          gp_newton_per_round = List.rev !newton_per_round;
-          certified_rounds = !certified;
-        }
-    | None ->
-      Error
-        (Err.Sta_disagreement
-           {
-             target_ps = spec.Constraints.target_delay;
-             iterations = !iterations;
-           }))
-
-let size_typed_impl ?(options = default_options) tech netlist spec =
-  let generated =
-    Constraints.generate ~reductions:options.reductions
-      ~objective:options.objective tech netlist spec
-  in
-  (* Reject provably-infeasible specifications before the program is
-     compiled or any GP solve runs (no gp.solve span is emitted on the
-     fast-fail path). *)
-  match
-    absint_gate ~robust:false ~options
-      ~target_ps:spec.Constraints.target_delay generated.Constraints.problem
-  with
-  | Error e -> Error e
-  | Ok gp_problem -> size_typed_loop ~options tech netlist spec generated gp_problem
-
-let size_typed ?options tech netlist spec =
-  Tracepoint.timed "sizer.size"
-    ~attrs:(fun r ->
-      ("netlist", Tracepoint.Str netlist.Netlist.name)
-      :: ("target_ps", Tracepoint.Float spec.Constraints.target_delay)
-      ::
-      (match r with
-      | Ok o ->
-        [
-          ("ok", Tracepoint.Bool true);
-          ("iterations", Tracepoint.Int o.iterations);
-          ("gp_newton", Tracepoint.Int o.gp_newton_iterations);
-          ("gp_warm_rounds", Tracepoint.Int o.gp_warm_rounds);
-          ( "gp_newton_per_round",
-            Tracepoint.Str
-              (String.concat ","
-                 (List.map string_of_int o.gp_newton_per_round)) );
-          ("sta_verifies", Tracepoint.Int (2 * o.iterations));
-          ("gp_families", Tracepoint.Int o.gp_families);
-          ("achieved_ps", Tracepoint.Float o.achieved_delay);
-        ]
-      | Error e ->
-        [ ("ok", Tracepoint.Bool false); ("error", Tracepoint.Str (Err.to_string e)) ]))
-    (fun () -> size_typed_impl ?options tech netlist spec)
-
-(* ------------------------------------------------------------------ *)
-(* Multi-corner robust sizing                                          *)
-(* ------------------------------------------------------------------ *)
-
-type mapper = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-
-let sequential_mapper = { map = (fun f xs -> List.map f xs) }
-
-type corner_report = {
-  corner_name : string;
-  corner_delay : float;
-  corner_precharge : float;
-  corner_slack : float;
-}
-
-type robust_outcome = {
-  robust : outcome;
-  per_corner : corner_report list;
-  binding_corner : string;
-}
-
-let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
-    corners netlist spec =
-  let corner_list = Corners.to_list corners in
-  let indexed = List.mapi (fun i c -> (i, c)) corner_list in
-  let n = List.length corner_list in
-  (* The structurally worst corner (largest RC product) anchors the
-     min-delay pre-solve below. *)
-  let worst_corner =
-    List.fold_left
-      (fun (bc : Corners.corner) (cc : Corners.corner) ->
-        if cc.Corners.rc_scale > bc.Corners.rc_scale then cc else bc)
-      (List.hd corner_list) (List.tl corner_list)
-  in
-  (* One batch of constraint generations through the mapper: the corner
-     programs, plus — when no hint spares it — the pre-solve's min-delay
-     program at the worst corner.  A uniform RC-scaled corner set (the
-     common case) collapses to one projected generation pass
-     ([Corners.generate_projected]); heterogeneous sets generate per
-     corner, where an engine-supplied mapper can still fan the
-     independent tasks across its worker pool. *)
-  let needs_min_delay = options.min_delay_hint = None in
-  let gen_corner (c : Corners.corner) =
-    Constraints.generate ~reductions:options.reductions
-      ~objective:options.objective c.Corners.tech netlist spec
-  in
-  let tasks =
-    (if Corners.projection_scales corners <> None then [ `Projected ]
-     else List.map (fun c -> `Corner c) corner_list)
-    @ if needs_min_delay then [ `Min_delay ] else []
-  in
-  let generations =
-    mapper.map
-      (function
-        | `Projected -> (
-          match
-            Corners.generate_projected ~reductions:options.reductions
-              ~objective:options.objective corners netlist spec
-          with
-          | Some per_corner -> List.map snd per_corner
-          | None ->
-            (* A coefficient lost its RC decomposition: regenerate the
-               honest way. *)
-            List.map gen_corner corner_list)
-        | `Corner c -> [ gen_corner c ]
-        | `Min_delay ->
-          [
-            Constraints.generate_min_delay ~reductions:options.reductions
-              worst_corner.Corners.tech netlist spec;
-          ])
-      tasks
-    |> List.concat
-  in
-  let corner_gens, min_delay_gen =
-    let rec take k = function
-      | rest when k = 0 -> ([], rest)
-      | [] -> assert false
-      | g :: rest ->
-        let gs, extra = take (k - 1) rest in
-        (g :: gs, extra)
-    in
-    match take n generations with
-    | gs, [] -> (gs, None)
-    | gs, [ md ] -> (gs, Some md)
-    | _ -> assert false
-  in
-  let merged =
-    Corners.merge_generated (List.combine corner_list corner_gens)
-  in
-  let generated = merged.Corners.generated in
-  (* Reject provably-infeasible specifications (at any corner) before
-     the merged program is compiled or any GP solve runs. *)
-  match
-    absint_gate ~robust:true ~options
-      ~target_ps:spec.Constraints.target_delay generated.Constraints.problem
-  with
-  | Error e -> Error e
-  | Ok gp_problem ->
-  let precharge_budget =
-    match spec.Constraints.precharge_budget with
-    | Some b -> b
-    | None -> spec.Constraints.target_delay
-  in
-  let tol = options.tolerance in
-  let has_pre = generated.Constraints.precharge_constraints > 0 in
-  (* Per-corner model-space budgets: each corner's respecification knob is
-     retargeted by its own golden-vs-spec mismatch; the round's acceptance
-     and convergence key on the worst golden-verified corner. *)
-  let timing = Array.make n 1.0 in
-  let pre_f = Array.make n 1.0 in
-  (* Each corner's budget-scaled constraint posynomials, for the tightness
-     test below: a slack corner's budget is only worth retargeting when
-     its model constraints actually bind — relaxing an inactive
-     constraint cannot move the optimum, it only deforms the barrier and
-     costs the next warm start a near-cold re-centering. *)
-  let prefixed ~prefix s =
-    String.length s >= String.length prefix
-    && String.sub s 0 (String.length prefix) = prefix
-  in
-  let timing_posys = Array.make n [] in
-  let pre_posys = Array.make n [] in
-  List.iter
-    (fun (name, p) ->
-      match Problem.split_scenario name with
-      | Some (tag, rest) -> (
-        match Corners.index_of_tag tag with
-        | Some i when i >= 0 && i < n ->
-          if prefixed ~prefix:"t:" rest || prefixed ~prefix:"stg:" rest then
-            timing_posys.(i) <- p :: timing_posys.(i)
-          else if prefixed ~prefix:"pre:" rest then
-            pre_posys.(i) <- p :: pre_posys.(i)
-        | _ -> ())
-      | None -> ())
-    generated.Constraints.problem.Problem.inequalities;
-  let best = ref None in
-  let total_newton = ref 0 in
-  let iterations = ref 0 in
-  let result = ref None in
-  let prepared = Solver.prepare ~structure:options.gp_structure gp_problem in
-  let gp_families = (Solver.structure_stats prepared).Solver.families in
-  let warm = ref None in
-  let warm_rounds = ref 0 in
-  let newton_per_round = ref [] in
-  (* Re-anchor on every round's mid-path snapshot: the corner budgets
-     drift a little between rounds, and a warm start from the latest
-     snapshot (taken at the nearest budget state) re-centres in a
-     fraction of the steps an older anchor needs. *)
-  let remember sol =
-    newton_per_round := sol.Solver.newton_iterations :: !newton_per_round;
-    if sol.Solver.warm_started then incr warm_rounds;
-    if options.gp_warm_start then
-      match Solver.warm_handle sol with
-      | Some _ as w -> warm := w
-      | None -> ()
-  in
-  (* Golden verification at every corner; the engine supplies a mapper
-     that fans these across its worker pool. *)
-  let verify sizing_fn =
-    mapper.map
-      (fun (i, (c : Corners.corner)) ->
-        let tech = c.Corners.tech in
-        let eval =
-          Sta.analyze ~mode:Sta.Evaluate
-            ?input_slope:spec.Constraints.input_slope tech netlist
-            ~sizing:sizing_fn
-        in
-        let pre =
-          Sta.analyze ~mode:Sta.Precharge
-            ?input_slope:spec.Constraints.input_slope tech netlist
-            ~sizing:sizing_fn
-        in
-        let achieved_pre =
-          if has_pre && pre.Sta.reachable_outputs = 0 then infinity
-          else pre.Sta.max_delay
-        in
-        (i, c, eval, achieved_pre))
-      indexed
-  in
-  (* Seed the budgets: one min-delay pre-solve on the structurally worst
-     corner (largest RC product) reveals how much slower than the target
-     the model thinks the binding corner is; starting from the implied
-     relaxation saves the loop from burning rounds on infeasibility. *)
-  (match options.min_delay_hint with
-  | Some d_model ->
-    if d_model > spec.Constraints.target_delay then
-      Array.iteri
-        (fun i _ ->
-          timing.(i) <- 1.1 *. d_model /. spec.Constraints.target_delay)
-        timing
-  | None -> (
-    let min_delay_problem =
-      match min_delay_gen with
-      | Some g -> g.Constraints.problem
-      | None -> assert false (* hint was [None], so the batch made one *)
-    in
-    match Solver.solve ~options:options.gp_options min_delay_problem with
-    | Error _ -> ()
-    | Ok sol -> (
-      match sol.Solver.status with
-      | Solver.Infeasible | Solver.Iteration_limit -> ()
-      | Solver.Optimal ->
-        total_newton := sol.Solver.newton_iterations;
-        let d_model = Solver.lookup sol Constraints.delay_variable in
-        if d_model > spec.Constraints.target_delay then begin
-          let f = 1.1 *. d_model /. spec.Constraints.target_delay in
-          Array.iteri (fun i _ -> timing.(i) <- f) timing
-        end;
-        if options.gp_warm_start then
-          warm := Solver.warm_of_values prepared sol.Solver.values;
-        (* Calibrate each corner's budget to its model-vs-golden gap at
-           the pre-solve sizing (one STA sweep).  The first verified
-           round would discover the same factors and retarget — but one
-           round late: the budgets then shift under the round-1 warm
-           anchor, whose margin a few-percent tightening on the binding
-           corner already exceeds, and round 2 falls back to a phase-I
-           re-centering that costs more Newton steps than the rest of
-           the loop combined.  Seeding the factors up front lets every
-           post-round-1 resolve run warm. *)
-        let presizing_fn = fn_of_sizing (sizing_of_solution netlist sol) in
-        let max_eval posys =
-          List.fold_left
-            (fun acc p -> Float.max acc (Posy.eval presizing_fn p))
-            0. posys
-        in
-        let clamp c = Float.max 0.5 (Float.min 2.0 c) in
-        List.iter
-          (fun (i, _, (e : Sta.t), pre) ->
-            let model_t =
-              spec.Constraints.target_delay *. max_eval timing_posys.(i)
-            in
-            if e.Sta.max_delay > 0. && model_t > 0. then
-              timing.(i) <- timing.(i) *. clamp (model_t /. e.Sta.max_delay);
-            if has_pre && pre > 0. && pre < infinity then begin
-              let model_p = precharge_budget *. max_eval pre_posys.(i) in
-              if model_p > 0. then
-                pre_f.(i) <- pre_f.(i) *. clamp (model_p /. pre)
-            end)
-          (verify presizing_fn))));
-  (try
-     for iter = 1 to options.max_iterations do
-       iterations := iter;
-       Solver.rescale_compiled prepared
-         (Corners.rescale_factors ~timing ~precharge:pre_f);
-       let resolved =
-         match Smart_util.Fault.fire "sizer.gp" with
-         | Some (Smart_util.Fault.Error_result msg) -> Error msg
-         | Some (Smart_util.Fault.Raise msg) -> raise (Err.Smart_error msg)
-         | Some (Smart_util.Fault.Scale _) | None ->
-           Solver.resolve ~options:options.gp_options ?warm:!warm prepared
-       in
-       match resolved with
-       | Error e ->
-         result := Some (Error (Err.Gp_failure e));
-         raise Exit
-       | Ok sol -> (
-         remember sol;
-         match sol.Solver.status with
-         | Solver.Infeasible ->
-           (* The merged model cannot say which corner binds; relax every
-              corner's budget and let the golden checks re-tighten the
-              slack ones.  Give up only when even wide-open models at
-              every corner stay infeasible. *)
+           (* Model-space infeasible — and a merged model cannot say which
+              corner binds: relax every corner's budgets and let the
+              golden checks re-tighten the slack ones.  Give up only when
+              even wide-open models at every corner stay infeasible. *)
            Array.iteri (fun i f -> timing.(i) <- f *. 1.35) timing;
            Array.iteri (fun i f -> pre_f.(i) <- f *. 1.15) pre_f;
            if Array.for_all (fun f -> f > 24.) timing then begin
+             let detail =
+               if multi then
+                 Printf.sprintf "within device bounds at all corners (%s)"
+                   (Corners.to_string corners)
+               else "within device bounds"
+             in
              result :=
-               Some
-                 (Error
-                    (Err.Infeasible_spec
-                       {
-                         target_ps = spec.Constraints.target_delay;
-                         detail =
-                           Printf.sprintf
-                             "within device bounds at all corners (%s)"
-                             (Corners.to_string corners);
-                       }));
+               Some (Error (Err.Infeasible_spec { target_ps = target; detail }));
              raise Exit
            end
          | Solver.Optimal | Solver.Iteration_limit ->
            let sizing = sizing_of_solution netlist sol in
            let sizing_fn = fn_of_sizing sizing in
-           total_newton := !total_newton + sol.Solver.newton_iterations;
            let verified = verify sizing_fn in
            (* The binding corner: worst golden evaluate miss. *)
            let _, bind_c, bind_eval, bind_pre =
@@ -687,23 +425,10 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
            let worst_pre =
              List.fold_left (fun acc (_, _, _, p) -> Float.max acc p) 0. verified
            in
-           let reports =
-             List.map
-               (fun (_, (c : Corners.corner), (e : Sta.t), p) ->
-                 {
-                   corner_name = c.Corners.corner_name;
-                   corner_delay = e.Sta.max_delay;
-                   corner_precharge = p;
-                   corner_slack =
-                     spec.Constraints.target_delay -. e.Sta.max_delay;
-                 })
-               verified
-           in
            let meets =
              List.for_all
                (fun (_, _, (e : Sta.t), p) ->
-                 e.Sta.max_delay
-                 <= spec.Constraints.target_delay *. (1. +. tol)
+                 e.Sta.max_delay <= target *. (1. +. tol)
                  && ((not has_pre) || p <= precharge_budget *. (1. +. tol)))
                verified
            in
@@ -713,7 +438,7 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
                sizing_fn;
                achieved_delay = bind_eval.Sta.max_delay;
                achieved_precharge = (if has_pre then worst_pre else bind_pre);
-               target_delay = spec.Constraints.target_delay;
+               target_delay = target;
                total_width = Netlist.total_width netlist sizing_fn;
                clock_load_width = Netlist.clock_load_width netlist sizing_fn;
                iterations = iter;
@@ -721,70 +446,79 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
                gp_warm_rounds = !warm_rounds;
                gp_newton_per_round = List.rev !newton_per_round;
                gp_families;
-               certified_rounds = 0;
+               certified_rounds = !certified;
+               sta_verifies = !sta_runs;
                converged = true;
                constraint_stats = generated;
                sta = bind_eval;
              }
            in
-           let robust =
-             {
-               robust = outcome;
-               per_corner = reports;
-               binding_corner = bind_c.Corners.corner_name;
-             }
-           in
            let improved =
              match !best with
-             | Some b ->
-               outcome.total_width < b.robust.total_width *. 0.997
+             | Some b -> outcome.total_width < b.robust.total_width *. 0.997
              | None -> true
            in
-           if meets && improved then best := Some robust;
-           let miss_t =
-             bind_eval.Sta.max_delay /. spec.Constraints.target_delay
-           in
+           if meets && improved then
+             best :=
+               Some
+                 {
+                   robust = outcome;
+                   per_corner =
+                     List.map
+                       (fun (_, (c : Corners.corner), (e : Sta.t), p) ->
+                         {
+                           corner_name = c.Corners.corner_name;
+                           corner_delay = e.Sta.max_delay;
+                           corner_precharge = p;
+                           corner_slack = target -. e.Sta.max_delay;
+                         })
+                       verified;
+                   binding_corner = bind_c.Corners.corner_name;
+                 };
+           let miss_t = bind_eval.Sta.max_delay /. target in
            let miss_p =
              if has_pre then
-               if worst_pre = infinity then 1.
-               else worst_pre /. precharge_budget
+               if worst_pre = infinity then 1. else worst_pre /. precharge_budget
              else 1.
            in
            Log.debug (fun m ->
-               m "robust iteration %d: binding %s %.1f/%.1f ps, precharge %.1f"
-                 iter bind_c.Corners.corner_name bind_eval.Sta.max_delay
-                 spec.Constraints.target_delay worst_pre);
+               m "iteration %d: binding %s %.1f/%.1f ps, precharge %.1f" iter
+                 bind_c.Corners.corner_name bind_eval.Sta.max_delay target
+                 worst_pre);
+           (* Converged: golden sits at the spec and the best width has
+              stopped improving. *)
            if
              miss_t >= 1. -. tol && miss_t <= 1. +. tol && miss_p <= 1. +. tol
              && (miss_p >= 1. -. (3. *. tol) || not has_pre)
              && not (meets && improved)
            then raise Exit;
-           (* Retarget every corner by its own golden miss — the
-              per-corner analogue of the single-corner loop's "create new
-              delay specification" step.  A corner is only {e relaxed}
-              when its model constraints bind at the solution: a corner
-              slack in both model and golden needs no budget change, and
-              inflating it round after round (the clamp allows 2x per
-              round) keeps deforming the merged GP for nothing — the
-              warm restart then pays a near-cold re-centering every
-              round. *)
+           (* Create the new delay specification: retarget every corner by
+              its own golden miss.  On a merged program a corner is only
+              {e relaxed} when its model constraints bind at the solution:
+              a corner slack in both model and golden needs no budget
+              change, and inflating it round after round (the clamp
+              allows 2x per round) keeps deforming the merged GP for
+              nothing — the warm restart then pays a near-cold
+              re-centering every round. *)
            let retarget factor miss =
              let adj = (1. /. miss) ** options.damping in
-             let adj = Float.max 0.5 (Float.min 2.0 adj) in
-             factor *. adj
+             (* Bound each move to avoid oscillation. *)
+             factor *. Float.max 0.5 (Float.min 2.0 adj)
            in
            let env =
-             let tbl = Hashtbl.create 256 in
-             List.iter
-               (fun (v, x) -> Hashtbl.replace tbl v x)
-               sol.Solver.values;
-             fun v ->
-               match Hashtbl.find_opt tbl v with Some x -> x | None -> 1.
+             lazy
+               (let tbl = Hashtbl.create 256 in
+                List.iter
+                  (fun (v, x) -> Hashtbl.replace tbl v x)
+                  sol.Solver.values;
+                fun v ->
+                  match Hashtbl.find_opt tbl v with Some x -> x | None -> 1.)
            in
-           let model_tight posys factor =
-             List.exists
-               (fun p -> Posy.eval env p >= 0.98 *. factor)
-               posys
+           let may_relax posys factor =
+             (not multi)
+             || List.exists
+                  (fun p -> Posy.eval (Lazy.force env) p >= 0.98 *. factor)
+                  posys
            in
            let moved = ref false in
            let set (arr : float array) i f =
@@ -795,23 +529,23 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
            in
            List.iter
              (fun (i, _, (e : Sta.t), p) ->
-               let m_t = e.Sta.max_delay /. spec.Constraints.target_delay in
+               let m_t = e.Sta.max_delay /. target in
                if
                  m_t > 1. +. tol
-                 || (m_t < 1. -. tol && model_tight timing_posys.(i) timing.(i))
+                 || (m_t < 1. -. tol && may_relax timing_posys.(i) timing.(i))
                then set timing i (retarget timing.(i) m_t);
                if has_pre && p < infinity then begin
                  let m_p = p /. precharge_budget in
                  if
                    m_p > 1. +. tol
-                   || (m_p < 1. -. tol && model_tight pre_posys.(i) pre_f.(i))
+                   || (m_p < 1. -. tol && may_relax pre_posys.(i) pre_f.(i))
                  then set pre_f i (retarget pre_f.(i) m_p)
                end)
              verified;
            (* Fixed point: no budget changed, so the next round would
-              re-solve the identical GP to the identical solution — and
-              identical verify.  Whatever [best] holds now is the loop's
-              answer; running out the remaining rounds cannot change it. *)
+              re-solve the identical GP from the same anchor to the same
+              solution and verify.  Whatever [best] holds now is the
+              loop's answer. *)
            if not !moved then raise Exit)
      done
    with Exit -> ());
@@ -827,37 +561,59 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
             {
               r.robust with
               iterations = !iterations;
+              gp_newton_iterations = !total_newton;
               gp_warm_rounds = !warm_rounds;
               gp_newton_per_round = List.rev !newton_per_round;
+              certified_rounds = !certified;
+              sta_verifies = !sta_runs;
             };
         }
     | None ->
       Error
-        (Err.Sta_disagreement
-           {
-             target_ps = spec.Constraints.target_delay;
-             iterations = !iterations;
-           }))
+        (Err.Sta_disagreement { target_ps = target; iterations = !iterations }))
 
-let size_robust_typed ?options ?mapper corners netlist spec =
-  Tracepoint.timed "sizer.size_robust"
+(* The sizer's span: the request, then the outcome's loop counters. *)
+let timed span ~attrs ~outcome netlist spec f =
+  Tracepoint.timed span
     ~attrs:(fun r ->
       ("netlist", Tracepoint.Str netlist.Netlist.name)
       :: ("target_ps", Tracepoint.Float spec.Constraints.target_delay)
-      :: ("corners", Tracepoint.Str (Corners.to_string corners))
-      ::
-      (match r with
-      | Ok o ->
+      :: attrs
+      @
+      match r with
+      | Ok x ->
+        let o = outcome x in
         [
           ("ok", Tracepoint.Bool true);
-          ("binding_corner", Tracepoint.Str o.binding_corner);
-          ("iterations", Tracepoint.Int o.robust.iterations);
-          ("gp_families", Tracepoint.Int o.robust.gp_families);
-          ("achieved_ps", Tracepoint.Float o.robust.achieved_delay);
+          ("iterations", Tracepoint.Int o.iterations);
+          ("gp_newton", Tracepoint.Int o.gp_newton_iterations);
+          ("gp_warm_rounds", Tracepoint.Int o.gp_warm_rounds);
+          ( "gp_newton_per_round",
+            Tracepoint.Str
+              (String.concat "," (List.map string_of_int o.gp_newton_per_round)) );
+          ("sta_verifies", Tracepoint.Int o.sta_verifies);
+          ("gp_families", Tracepoint.Int o.gp_families);
+          ("achieved_ps", Tracepoint.Float o.achieved_delay);
         ]
       | Error e ->
-        [ ("ok", Tracepoint.Bool false); ("error", Tracepoint.Str (Err.to_string e)) ]))
-    (fun () -> size_robust_impl ?options ?mapper corners netlist spec)
+        [
+          ("ok", Tracepoint.Bool false);
+          ("error", Tracepoint.Str (Err.to_string e));
+        ])
+    f
+
+let size_typed ?options tech netlist spec =
+  timed "sizer.size" ~attrs:[] ~outcome:Fun.id netlist spec (fun () ->
+      Result.map
+        (fun r -> r.robust)
+        (size_set ?options (Corners.of_tech tech) netlist spec))
+
+let size_robust_typed ?options ?mapper corners netlist spec =
+  timed "sizer.size_robust"
+    ~attrs:[ ("corners", Tracepoint.Str (Corners.to_string corners)) ]
+    ~outcome:(fun r -> r.robust)
+    netlist spec
+    (fun () -> size_set ?options ?mapper corners netlist spec)
 
 type min_delay = { golden_min : float; model_min : float }
 

@@ -72,7 +72,9 @@ type outcome = {
   total_width : float;
   clock_load_width : float;
   iterations : int;  (** outer loop iterations used *)
-  gp_newton_iterations : int;  (** cumulative inner Newton steps *)
+  gp_newton_iterations : int;
+      (** every Newton step the sizing ran: the min-delay pre-solve plus
+          every respecification round *)
   gp_warm_rounds : int;
       (** respecification rounds whose GP resolve skipped phase I via a
           warm start *)
@@ -85,6 +87,10 @@ type outcome = {
   certified_rounds : int;
       (** rounds whose solution passed the independent GP certificate
           check (0 unless {!options.certify}) *)
+  sta_verifies : int;
+      (** golden STA runs the loop made: evaluate and precharge at every
+          corner per verified round, plus a multi-corner set's
+          calibration sweep *)
   converged : bool;
   constraint_stats : Smart_constraints.Constraints.result;
       (** the generated program (counts, area posynomial) *)
@@ -97,13 +103,16 @@ val size_typed :
   Smart_circuit.Netlist.t ->
   Smart_constraints.Constraints.spec ->
   (outcome, Smart_util.Err.t) result
-(** Size a netlist to meet a delay specification at minimum cost.
-    [Error] is structured: {!Smart_util.Err.Infeasible_spec} when the
-    specification is unreachable within device bounds,
-    {!Smart_util.Err.Sta_disagreement} when the model kept certifying the
-    spec but the golden timer never confirmed it, or
-    {!Smart_util.Err.Gp_failure} for malformed programs.  Emits a
-    ["sizer.size"] tracepoint when instrumentation is installed. *)
+(** Size a netlist to meet a delay specification at minimum cost: the
+    respecification loop of {!size_robust_typed} over the one-corner set
+    {!Smart_corners.Corners.of_tech}[ tech], which compiles exactly the
+    single-technology program.  [Error] is structured:
+    {!Smart_util.Err.Infeasible_spec} when the specification is
+    unreachable within device bounds, {!Smart_util.Err.Sta_disagreement}
+    when the model kept certifying the spec but the golden timer never
+    confirmed it, or {!Smart_util.Err.Gp_failure} for malformed programs.
+    Emits a ["sizer.size"] tracepoint when instrumentation is
+    installed. *)
 
 (** {1 Multi-corner robust sizing} *)
 
@@ -143,16 +152,21 @@ val size_robust_typed :
   Smart_circuit.Netlist.t ->
   Smart_constraints.Constraints.spec ->
   (robust_outcome, Smart_util.Err.t) result
-(** Joint robust sizing: one width assignment that the golden timer
-    confirms at {e every} corner of the set.  Constraint generation runs
-    once per corner against the shared size labels, the per-corner
-    programs are merged into one GP
-    ({!Smart_corners.Corners.generate_robust}) compiled once and
-    warm-started across respecification rounds, and each round golden-
-    verifies all corners (through [mapper]) and retargets every corner's
-    internal budget by its own measured miss; acceptance and convergence
-    key on the worst-corner result.  Errors as {!size_typed}, with
-    [Infeasible_spec] naming the corner set. *)
+(** Joint robust sizing — the one Figure 4 loop: one width assignment
+    that the golden timer confirms at {e every} corner of the set.
+    Constraint generation runs once per corner against the shared size
+    labels, the per-corner programs are merged into one GP
+    ({!Smart_corners.Corners.merge_generated}; a one-corner set keeps its
+    own untagged program) compiled once and warm-started across
+    respecification rounds, and each round golden-verifies all corners
+    (through [mapper]) and retargets every corner's internal budget by
+    its own measured miss; acceptance and convergence key on the
+    worst-corner result.  The loop stops early once a round moves no
+    budget.  Sets of two or more corners also calibrate each corner's
+    budget at the pre-solve sizing and relax a corner only while its
+    model constraints are near-active.  Errors as {!size_typed}, with a
+    multi-corner [Infeasible_spec] naming the corner set.  Emits a
+    ["sizer.size_robust"] tracepoint. *)
 
 type min_delay = {
   golden_min : float;  (** fastest golden delay found, ps *)

@@ -303,6 +303,100 @@ let test_structured_advice_matches_dense () =
       Alcotest.failf "achieved delay diverges: %.6f vs %.6f" a b
     | _ -> ())
 
+(* Loop accounting: the counters a sizing reports must match the spans
+   its loop emitted, for a single-technology sizing and a 3-corner one. *)
+
+let mux4 () = (Smart.Mux.generate Smart.Mux.Strongly_mutexed ~n:4).Smart.Macro.netlist
+
+(* [k] times the golden minimum delay of [nl] at [tech]. *)
+let target_at ?(k = 1.25) tech nl =
+  match Sizer.minimize_delay_typed tech nl (C.spec 1e6) with
+  | Ok md -> k *. md.Sizer.golden_min
+  | Error e -> Alcotest.fail ("min-delay: " ^ Smart.Error.to_string e)
+
+let slow_tech set = (List.nth (Corners.to_list set) 2).Corners.tech
+
+let ok = function
+  | Ok o -> o
+  | Error e -> Alcotest.fail (Smart.Error.to_string e)
+
+(* Run [f] with the global tracepoint stream bridged into [sink]. *)
+let traced sink f =
+  Engine.Trace.install_global sink;
+  Fun.protect ~finally:Engine.Trace.uninstall_global f
+
+let test_newton_total_matches_spans () =
+  let set = Corners.default_set () in
+  let check name run =
+    let sink, drain = Engine.Trace.memory () in
+    let o : Sizer.outcome = traced sink run in
+    let spans =
+      List.fold_left
+        (fun acc -> function Engine.Trace.Gp_solve g -> acc + g.newton | _ -> acc)
+        0 (drain ())
+    in
+    Alcotest.(check int) (name ^ ": gp.solve newton sum") spans o.Sizer.gp_newton_iterations
+  in
+  let adder = (Smart.Cla_adder.generate ~bits:16 ()).Smart.Macro.netlist in
+  let spec = C.spec (target_at Tech.default adder) in
+  check "adder16 tech" (fun () -> ok (Sizer.size_typed Tech.default adder spec));
+  let nl = mux4 () in
+  let spec = C.spec (target_at (slow_tech set) nl) in
+  check "mux4 3-corner" (fun () -> (ok (Sizer.size_robust_typed set nl spec)).Sizer.robust)
+
+let test_sta_verifies_match_spans () =
+  let set = Corners.default_set () in
+  let nl = mux4 () in
+  let sink, drain = Engine.Trace.memory () in
+  let e = Engine.create ~workers:1 ~sink () in
+  let options = Sizer.default_options in
+  let typ_spec = C.spec (target_at Tech.default nl) in
+  let slow_spec = C.spec (target_at (slow_tech set) nl) in
+  traced sink (fun () ->
+      ignore (ok (Engine.size e ~options Tech.default nl typ_spec));
+      ignore (ok (Engine.size_robust e ~options set nl slow_spec)));
+  let sizings =
+    List.fold_left
+      (fun (runs, acc) -> function
+        | Engine.Trace.Sta_verify _ -> (runs + 1, acc)
+        | Engine.Trace.Sizing s -> (0, (s.label, s.sta_verifies, runs) :: acc)
+        | _ -> (runs, acc))
+      (0, []) (drain ())
+    |> snd
+  in
+  Alcotest.(check int) "two sizings" 2 (List.length sizings);
+  List.iter
+    (fun (label, reported, runs) ->
+      Alcotest.(check int) (label ^ ": sta_verifies = sta.analyze spans") runs reported)
+    sizings
+
+(* A one-corner set is the single-technology flow: the same untagged
+   program and the same widths as [size_typed] on the corner's tech. *)
+let test_one_corner_set_is_single_tech () =
+  let set = Corners.typ_only () in
+  let tech = (Corners.nominal set).Corners.tech in
+  let nl = (Smart.Cla_adder.generate ~bits:8 ()).Smart.Macro.netlist in
+  let spec = C.spec (target_at tech nl) in
+  let single = ok (Sizer.size_typed tech nl spec) in
+  let ro = ok (Sizer.size_robust_typed set nl spec) in
+  let names (o : Sizer.outcome) =
+    List.map fst o.Sizer.constraint_stats.C.problem.Smart.Gp_problem.inequalities
+  in
+  Alcotest.(check (list string)) "untagged single-tech program" (names single)
+    (names ro.Sizer.robust);
+  checkb "same widths" true (single.Sizer.sizing = ro.Sizer.robust.Sizer.sizing);
+  Alcotest.(check string) "binding corner" "typ" ro.Sizer.binding_corner
+
+(* The certificate check covers merged programs too. *)
+let test_certify_corner_set () =
+  let set = Corners.default_set () in
+  let nl = mux4 () in
+  let options = { Sizer.default_options with Sizer.certify = true } in
+  match Sizer.size_robust_typed ~options set nl (C.spec (target_at (slow_tech set) nl)) with
+  | Error e -> Alcotest.fail (Smart.Error.to_string e)
+  | Ok ro ->
+    checkb "certified rounds" true (ro.Sizer.robust.Sizer.certified_rounds >= 1)
+
 let () =
   Alcotest.run "smart_corners"
     [
@@ -333,5 +427,15 @@ let () =
             test_robust_domino_precharge;
           Alcotest.test_case "engine cache keeps sets apart" `Slow
             test_engine_cache_corner_sets_distinct;
+        ] );
+      ( "accounting",
+        [
+          Alcotest.test_case "newton total = gp.solve spans" `Slow
+            test_newton_total_matches_spans;
+          Alcotest.test_case "sta_verifies = sta.analyze spans" `Slow
+            test_sta_verifies_match_spans;
+          Alcotest.test_case "certify corner sets" `Slow test_certify_corner_set;
+          Alcotest.test_case "one-corner set = single tech" `Slow
+            test_one_corner_set_is_single_tech;
         ] );
     ]
