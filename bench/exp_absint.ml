@@ -99,7 +99,7 @@ let run ~fast () =
   let (analysis, red), wall_analysis =
     time (fun () ->
         let a = Absint.analyze problem in
-        (a, Absint.reduce ~tighten:true a))
+        (a, Absint.reduce a))
   in
   let drop = Absint.drop_pct red in
   let tighten_pct = (Absint.summarize analysis).Absint.tighten_avg_pct in

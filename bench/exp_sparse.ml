@@ -1,6 +1,6 @@
 (* Structured-GP bench: the merged multi-corner program solved through
-   the structured path (corner-family bundling + arrow-head detection)
-   vs the dense per-constraint reference, vs a typ-only sizing.
+   the structured path (corner-family bundling) vs the unbundled
+   per-constraint reference, vs a typ-only sizing.
 
    Protocol:
      1. find the adder's fastest achievable delay at the *slow* corner
@@ -9,16 +9,16 @@
      2. size at the typical corner only: the wall the robust flow is
         measured against;
      3. size jointly over fast/typ/slow twice — once with
-        [gp_structure = false] (dense per-constraint reference) and once
-        with the default structured path — and check the two flows
-        return the same advice;
-     4. assert the structured path actually engaged (families bundled,
-        structure detected) rather than silently falling back to the
-        dense reference, and that the robust wall stays within 1.5x the
-        typ-only wall.
+        [gp_structure = false] (unbundled per-constraint reference, the
+        "dense" fields) and once with the default bundled path (the
+        "block" fields) — and check the two flows return the same
+        advice;
+     4. assert the structured path actually engaged (families bundled)
+        rather than silently falling back to the unbundled reference,
+        and that the robust wall stays within 1.5x the typ-only wall.
 
    Writes BENCH_sparse.json {scenarios, families, bundled_constraints,
-   blocks, wall_typ, wall_dense, wall_block, robust_typ_ratio,
+   wall_typ, wall_dense, wall_block, robust_typ_ratio,
    dense_block_speedup, newton_dense, newton_block, advice_max_rel_diff}
    for the perf trajectory.
 
@@ -92,10 +92,10 @@ let run ~fast () =
         (Solver.prepare merged.Corners.generated.Smart.Constraints.problem)
     in
     Printf.printf
-      "  merged program: %d scenarios, %d families covering %d constraints, \
-       %d arrow-head blocks; %d workers\n"
+      "  merged program: %d scenarios, %d families covering %d constraints; \
+       %d workers\n"
       st.Solver.scenarios st.Solver.families st.Solver.bundled_constraints
-      st.Solver.blocks (Engine.workers eng);
+      (Engine.workers eng);
     let res_typ, wall_typ =
       time (fun () -> Sizer.size_typed ~options:block_opts typ.Corners.tech nl spec)
     in
@@ -147,7 +147,6 @@ let run ~fast () =
           ("scenarios", float_of_int st.Solver.scenarios);
           ("families", float_of_int st.Solver.families);
           ("bundled_constraints", float_of_int st.Solver.bundled_constraints);
-          ("blocks", float_of_int st.Solver.blocks);
           ("wall_typ", wall_typ);
           ("wall_dense", wall_dense);
           ("wall_block", wall_block);

@@ -106,7 +106,7 @@ let smoke_sparse () =
     engaged
     && Runner.json_has_fields ~file:"BENCH_sparse.json"
          [
-           "scenarios"; "families"; "bundled_constraints"; "blocks";
+           "scenarios"; "families"; "bundled_constraints";
            "wall_typ"; "wall_dense"; "wall_block"; "robust_typ_ratio";
            "dense_block_speedup"; "newton_dense"; "newton_block";
            "advice_max_rel_diff"; "workers";

@@ -486,7 +486,7 @@ type reduction = {
   tightened_bounds : int;
 }
 
-let reduce ?(tighten = true) (t : t) =
+let reduce (t : t) =
   let total = List.length t.problem.Problem.inequalities in
   if t.certificate <> None then
     {
@@ -500,10 +500,6 @@ let reduce ?(tighten = true) (t : t) =
   else begin
     let index = Hashtbl.create (Array.length t.vars * 2) in
     Array.iteri (fun i v -> Hashtbl.replace index v i) t.vars;
-    (* Drops are judged on the box that will actually be enforced after
-       reduction: the narrowed box when it becomes the new bounds, the
-       seed box otherwise. *)
-    let judge_box = if tighten then t.box else t.seed in
     let margin_log = log1p t.margin in
     let cls_tbl = Hashtbl.create (Array.length t.constraints * 2) in
     Array.iter (fun cb -> Hashtbl.replace cls_tbl cb.name cb.cls) t.constraints;
@@ -515,7 +511,9 @@ let reduce ?(tighten = true) (t : t) =
             | Some c -> c
             | None -> fixed_budget name
           in
-          (name, p, c, posy_interval judge_box (compile_posy index p)))
+          (* Drops are judged on the narrowed box: it becomes the new
+             bounds below, so the feasible set is exactly preserved. *)
+          (name, p, c, posy_interval t.box (compile_posy index p)))
         t.problem.Problem.inequalities
     in
     (* Largest constraints first, so a corner family's dominator is kept
@@ -574,21 +572,19 @@ let reduce ?(tighten = true) (t : t) =
     in
     let tightened_bounds = ref 0 in
     let bounds =
-      if not tighten then t.problem.Problem.bounds
-      else
-        Array.to_list
-          (Array.mapi
-             (fun i iv ->
-               let s = t.seed.(i) in
-               (* Widen by the roundoff guard and clamp into the seed
-                  box, so the enforced bounds are never tighter than the
-                  proof supports. *)
-               let lo = Float.max s.I.lo (iv.I.lo -. improve_tol) in
-               let hi = Float.min s.I.hi (iv.I.hi +. improve_tol) in
-               if lo > s.I.lo +. improve_tol || hi < s.I.hi -. improve_tol
-               then incr tightened_bounds;
-               (t.vars.(i), exp lo, exp hi))
-             t.box)
+      Array.to_list
+        (Array.mapi
+           (fun i iv ->
+             let s = t.seed.(i) in
+             (* Widen by the roundoff guard and clamp into the seed box,
+                so the enforced bounds are never tighter than the proof
+                supports. *)
+             let lo = Float.max s.I.lo (iv.I.lo -. improve_tol) in
+             let hi = Float.min s.I.hi (iv.I.hi +. improve_tol) in
+             if lo > s.I.lo +. improve_tol || hi < s.I.hi -. improve_tol then
+               incr tightened_bounds;
+             (t.vars.(i), exp lo, exp hi))
+           t.box)
     in
     let reduced =
       Problem.make ~inequalities ~equalities:t.problem.Problem.equalities

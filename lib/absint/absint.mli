@@ -17,12 +17,12 @@
        bound exceeds every budget its surrounding loop could grant is
        reported as a {!certificate} — the caller can reject the
        specification {e before} compiling or solving anything;}
-    {- {b presolve reduction} ({!reduce}): constraints proven slack at
-       every reachable budget are dropped, same-budget-class constraints
-       implied by a kept one (term-wise or interval dominance) are
-       dropped, and — in fixed-budget mode — variable bounds tighten to
-       the narrowed box, so {!Smart_gp.Solver.prepare} compiles a
-       measurably smaller program.  The variable set and constraint
+    {- {b presolve reduction} ({!reduce}, fixed-budget analyses only):
+       constraints proven slack are dropped, same-budget-class
+       constraints implied by a kept one (term-wise or interval
+       dominance) are dropped, and variable bounds tighten to the
+       narrowed box, so {!Smart_gp.Solver.prepare} compiles a measurably
+       smaller program.  The variable set and constraint
        names are preserved, so advice, warm starts and budget rescales
        keyed by name work unchanged on the reduced program.}}
 
@@ -175,21 +175,17 @@ type reduction = {
   tightened_bounds : int;  (** variables whose bounds were tightened *)
 }
 
-val reduce : ?tighten:bool -> t -> reduction
-(** Shrink the analyzed problem.
-
-    With [tighten] (default [true]) variable bounds are replaced by the
+val reduce : t -> reduction
+(** Shrink the analyzed problem: variable bounds are replaced by the
     narrowed box (widened by a roundoff guard), and slack/dominance
     drops are judged on that box — the box is enforced by the new
-    bounds, so the feasible set is {e exactly} preserved.  Only valid
-    when the program is solved at its generated budgets
-    ({!fixed_budget} classification).
+    bounds, so the feasible set is {e exactly} preserved.
 
-    With [~tighten:false] bounds are left untouched and drops are judged
-    on the {e seed} box only (the box the original bounds already
-    enforce) — the conservative mode for programs whose budgets a
-    surrounding loop rescales ({!sizer_classes}); dominance is still
-    applied, but only within one {!cls.factor_class}.
+    Valid only for fixed-budget analyses ({!fixed_budget}, the
+    {!default_options}): the program must be solved at its generated
+    budgets.  A surrounding loop that rescales budgets ({!sizer_classes})
+    moves the feasible set outside the narrowed box, so its programs
+    must not be reduced.
 
     A certified-infeasible analysis reduces to the identity (the caller
     should fast-fail instead).  [Certify]-checked runs should skip

@@ -385,16 +385,12 @@ module Cache = struct
             Hashtbl.replace t.table key { last_use = t.tick; value }
           end)
 
-  let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
-
-  (* A persistent-store hit: when the caller's memory lookup already
-     counted a miss ([counted_miss]), reclassify it as a store hit; a
-     warm-up/prefetch path that never called [find] passes
-     [~counted_miss:false] so misses cannot go negative.  Either way the
-     entry is promoted so repeats hit memory. *)
-  let store_promote ?(counted_miss = true) t key value =
+  (* A persistent-store hit: reclassify the miss the caller's memory
+     lookup already counted as a store hit (guarded so misses can never
+     go negative), and promote the entry so repeats hit memory. *)
+  let store_promote t key value =
     locked t (fun () ->
-        if counted_miss && t.misses > 0 then begin
+        if t.misses > 0 then begin
           t.misses <- t.misses - 1;
           t.store_hits <- t.store_hits + 1
         end;
@@ -414,15 +410,6 @@ module Cache = struct
           entries = Hashtbl.length t.table;
           capacity = t.capacity;
         })
-
-  let reset t =
-    locked t (fun () ->
-        Hashtbl.reset t.table;
-        t.tick <- 0;
-        t.hits <- 0;
-        t.store_hits <- 0;
-        t.misses <- 0;
-        t.evictions <- 0)
 end
 
 (* The solver/model version stamp folded into every cache key.  Bump it
@@ -577,8 +564,6 @@ let hit_rate s =
   let total = served + s.misses in
   if total = 0 then 0. else float_of_int served /. float_of_int total
 
-let reset_cache t = Cache.reset t.cache
-
 (* Persisted entries are Marshal blobs (with [Closures] — outcomes carry
    the [sizing_fn] lookup closure).  Closure marshalling ties a blob to
    the exact producing binary: a blob written by another build fails to
@@ -632,29 +617,6 @@ let publish t key v =
 let sizing_key ~options corners netlist spec =
   solve_key ~tag:"size" ~corners ~options (Corners.nominal corners).Corners.tech
     netlist spec
-
-(* Warm the memory cache from the persistent store without touching the
-   hit/miss statistics: a probe, not a request.  Returns whether the
-   entry is now resident in memory.  Plain sizing entries only — warm-up
-   feeds the single-technology path. *)
-let prefetch t ~options tech netlist spec =
-  if t.cache.Cache.capacity <= 0 then false
-  else begin
-    let key = sizing_key ~options (Corners.of_tech tech) netlist spec in
-    if Cache.mem t.cache key then true
-    else
-      match Atomic.get t.store with
-      | None -> false
-      | Some (store : Store.t) -> (
-        match (try store.Store.find key with _ -> None) with
-        | None -> false
-        | Some blob -> (
-          match decode_entry blob with
-          | None -> false
-          | Some v ->
-            Cache.store_promote ~counted_miss:false t.cache key v;
-            true))
-  end
 
 let emit t event =
   Mutex.lock t.sink_lock;

@@ -106,8 +106,6 @@ module Trace : sig
   val to_string : event -> string
   val to_json : event -> string
 
-  val of_tracepoint : Smart_util.Tracepoint.event -> event
-
   val install_global : sink -> unit
   (** Bridge the process-wide {!Smart_util.Tracepoint} stream (GP solver,
       golden timer, sizer internals) into [sink]. *)
@@ -151,10 +149,6 @@ val hit_rate : cache_stats -> float
 (** [(hits + store_hits) / (hits + store_hits + misses)]; 0 when no
     lookups happened. *)
 
-val reset_cache : t -> unit
-(** Drop all in-memory entries and zero the counters.  The persistent
-    store, if any, is untouched. *)
-
 (** {1 Persistent solve-cache backing store} *)
 
 (** A pluggable second cache level keyed by the same structural digests
@@ -192,19 +186,6 @@ module Pool : sig
       with [workers:0] gets.  Exposed so benches and callers provisioning
       explicit pools can anchor on the runtime's recommendation. *)
 end
-
-val prefetch :
-  t ->
-  options:Sizer.options ->
-  Tech.t ->
-  Netlist.t ->
-  Constraints.spec ->
-  bool
-(** Warm the memory cache for a plain sizing request from the persistent
-    store, without recording a hit or a miss (a probe is not a request —
-    the stats invariants in {!cache_stats} stay intact).  Returns whether
-    the entry is now resident in memory.  No-op ([false]) when caching is
-    disabled; a store/decode failure degrades to [false]. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving map over the engine's worker pool.  Falls back to

@@ -29,9 +29,6 @@ let variables t =
   List.sort_uniq String.compare
     (Posy.vars t.objective @ of_ineqs @ of_eqs @ of_bounds)
 
-let variable_count t = List.length (variables t)
-let inequality_count t = List.length t.inequalities
-
 (* Solve a monomial equality [g = 1] for one of its variables:
    g = c * x^e * rest = 1  ==>  x = (c * rest)^(-1/e). *)
 let solve_equality g =
@@ -137,71 +134,6 @@ let merge ~objective tagged =
       !order
   in
   make ~inequalities ~bounds objective
-
-type structure = {
-  tags : string array;
-  shared : string list;
-  private_vars : (string * string list) list;
-}
-
-(* Block partition of a merged problem.  A variable is private to a
-   scenario when it appears only in that scenario's tagged constraints —
-   never in the objective, an untagged inequality, or another scenario.
-   Bounds don't affect the classification: a box on a private variable
-   stays private (it compiles to single-variable monomial constraints).
-   Corner merges over one width vector have every variable shared; the
-   partition earns its keep on merges whose scenarios carry their own
-   slack/stage variables. *)
-let structure t =
-  let tag_order = ref [] in
-  let seen_tags = Hashtbl.create 8 in
-  let usage : (string, string option) Hashtbl.t = Hashtbl.create 64 in
-  (* usage: variable -> Some tag (seen in exactly one scenario so far)
-     or None (shared).  Absent = unseen. *)
-  let mark owner v =
-    match Hashtbl.find_opt usage v with
-    | None -> Hashtbl.replace usage v owner
-    | Some prev -> if prev <> owner then Hashtbl.replace usage v None
-  in
-  List.iter
-    (fun (name, p) ->
-      let owner =
-        match split_scenario name with
-        | Some (tag, _) ->
-          if not (Hashtbl.mem seen_tags tag) then begin
-            Hashtbl.replace seen_tags tag ();
-            tag_order := tag :: !tag_order
-          end;
-          Some tag
-        | None -> None
-      in
-      List.iter (mark owner) (Posy.vars p))
-    t.inequalities;
-  if !tag_order = [] then None
-  else begin
-    List.iter (fun v -> mark None v) (Posy.vars t.objective);
-    List.iter (fun (_, g) -> List.iter (mark None) (Monomial.vars g)) t.equalities;
-    let tags = Array.of_list (List.rev !tag_order) in
-    (* Keep declaration order within each class: walk [variables t]. *)
-    let vars = variables t in
-    let shared =
-      List.filter
-        (fun v ->
-          match Hashtbl.find_opt usage v with
-          | Some (Some _) -> false
-          | Some None | None -> true)
-        vars
-    in
-    let private_vars =
-      Array.to_list tags
-      |> List.map (fun tag ->
-             ( tag,
-               List.filter
-                 (fun v -> Hashtbl.find_opt usage v = Some (Some tag))
-                 vars ))
-    in
-    Some { tags; shared; private_vars }
-  end
 
 let default_bounds ~lo ~hi t =
   let have = List.map (fun (v, _, _) -> v) t.bounds in

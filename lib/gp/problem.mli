@@ -36,12 +36,6 @@ val constraint_le : string -> Posy.t -> Posy.t -> (string * Posy.t) option
 val variables : t -> string list
 (** Every variable occurring in the problem (sorted). *)
 
-val variable_count : t -> int
-(** [List.length (variables t)] — for size reports. *)
-
-val inequality_count : t -> int
-(** Number of posynomial inequality constraints. *)
-
 val eliminate_equalities : t -> t * (string * Monomial.t) list
 (** Substitute away each monomial equality.  Returns the reduced problem and
     the eliminated variables with the monomials (over remaining variables)
@@ -65,22 +59,6 @@ val scenario_name : tag:string -> string -> string
 val split_scenario : string -> (string * string) option
 (** Invert {!scenario_name}: [Some (tag, name)] for merged constraint
     names, [None] for unmerged ones. *)
-
-type structure = {
-  tags : string array;  (** scenario tags, first-seen order *)
-  shared : string list;  (** variables coupling scenarios (or untagged) *)
-  private_vars : (string * string list) list;
-      (** per tag, the variables appearing {e only} in that scenario's
-          constraints — the diagonal blocks of the arrow-head Newton
-          system.  Declaration order preserved within each class. *)
-}
-
-val structure : t -> structure option
-(** Block partition of a merged problem ({!merge}): [None] when no
-    inequality carries a scenario tag.  Corner merges over one shared
-    width vector report every variable as shared (empty private lists) —
-    the partition carries real blocks only when scenarios introduce
-    their own variables. *)
 
 val default_bounds : lo:float -> hi:float -> t -> t
 (** Add [lo <= x <= hi] for every variable lacking an explicit bound. *)

@@ -5,7 +5,6 @@ module Monomial = Smart_posy.Monomial
 module Logspace = Smart_posy.Logspace
 module Vec = Smart_linalg.Vec
 module Mat = Smart_linalg.Mat
-module Block = Smart_linalg.Block
 
 let src = Logs.Src.create "smart.gp" ~doc:"SMART geometric program solver"
 
@@ -105,11 +104,10 @@ type workspace = {
   g : Vec.t;  (* gradient *)
   d : Vec.t;  (* Newton direction *)
   trial : Vec.t;  (* line-search trial point *)
-  chol : Mat.t;  (* in-place Cholesky factor / ridge copy (dense path) *)
+  chol : Mat.t;  (* in-place Cholesky factor / ridge copy *)
   tmp : Vec.t;  (* substitution intermediate *)
   ybuf : Vec.t;  (* the barrier iterate *)
   ridge : float ref;  (* last successful regularisation shift *)
-  block : Block.ws option;  (* arrow-head Schur path; None = dense *)
 }
 
 type prepared = {
@@ -118,7 +116,6 @@ type prepared = {
   eliminated : (string * Monomial.t) list;
   c : compiled option;  (* None: fully determined by equalities *)
   ws : workspace option;
-  bstruct : Block.structure option;  (* detected arrow-head partition *)
 }
 
 let bounds_to_inequalities bounds =
@@ -135,12 +132,9 @@ let bounds_to_inequalities bounds =
       lo_c @ hi_c)
     bounds
 
-let compile ?order ?(bundle = true) (problem : Problem.t) =
+let compile ~bundle (problem : Problem.t) =
   let ineqs = problem.inequalities @ bounds_to_inequalities problem.bounds in
-  let vars =
-    match order with Some o -> o | None -> Problem.variables problem
-  in
-  let idx = Logspace.index_of_vars vars in
+  let idx = Logspace.index_of_vars (Problem.variables problem) in
   let cons =
     Array.of_list (List.map (fun (n, p) -> (n, Logspace.compile idx p)) ineqs)
   in
@@ -155,7 +149,7 @@ let max_terms c =
     (fun acc (_, f) -> max acc (Logspace.num_terms f))
     (Logspace.num_terms c.f0) c.cons
 
-let make_workspace ?bstruct c =
+let make_workspace c =
   let n = Logspace.index_size c.idx in
   {
     scratch = Logspace.make_scratch ~n ~max_terms:(max_terms c);
@@ -167,65 +161,26 @@ let make_workspace ?bstruct c =
     tmp = Vec.create n;
     ybuf = Vec.create n;
     ridge = ref 0.;
-    block = Option.map Block.make_ws bstruct;
   }
-
-(* Arrow-head detection on a merged problem: when scenarios carry
-   private variables, ordering the index privates-first/border-last
-   makes the Newton system block-sparse and {!Block} solves it at
-   O(sum n_i^3 + ...) instead of the dense cube.  Corner merges over a
-   single width vector have no private variables — the partition comes
-   back empty and the solver stays dense. *)
-let detect_blocks reduced =
-  match Problem.structure reduced with
-  | None -> None
-  | Some st ->
-    let privates =
-      List.filter (fun (_, vs) -> vs <> []) st.Problem.private_vars
-    in
-    if privates = [] then None
-    else begin
-      let order = List.concat_map snd privates @ st.Problem.shared in
-      let bst =
-        {
-          Block.sizes =
-            Array.of_list (List.map (fun (_, vs) -> List.length vs) privates);
-          border = List.length st.Problem.shared;
-        }
-      in
-      Some (order, bst)
-    end
 
 let prepare ?(structure = true) problem =
   let reduced, eliminated = Problem.eliminate_equalities problem in
   let reduced = Problem.default_bounds ~lo:1e-9 ~hi:1e9 reduced in
   match Problem.variables reduced with
-  | [] ->
-    { problem; reduced; eliminated; c = None; ws = None; bstruct = None }
+  | [] -> { problem; reduced; eliminated; c = None; ws = None }
   | _ ->
-    let detected = if structure then detect_blocks reduced else None in
-    let order = Option.map fst detected in
-    let bstruct = Option.map snd detected in
-    let c = compile ?order ~bundle:structure reduced in
-    {
-      problem;
-      reduced;
-      eliminated;
-      c = Some c;
-      ws = Some (make_workspace ?bstruct c);
-      bstruct;
-    }
+    let c = compile ~bundle:structure reduced in
+    { problem; reduced; eliminated; c = Some c; ws = Some (make_workspace c) }
 
 type structure_stats = {
   families : int;
   bundled_constraints : int;
   scenarios : int;
-  blocks : int;
 }
 
 let structure_stats p =
   match p.c with
-  | None -> { families = 0; bundled_constraints = 0; scenarios = 0; blocks = 0 }
+  | None -> { families = 0; bundled_constraints = 0; scenarios = 0 }
   | Some c ->
     let tags = Hashtbl.create 8 in
     Array.iter
@@ -239,10 +194,6 @@ let structure_stats p =
       bundled_constraints =
         Array.fold_left (fun acc (is, _) -> acc + Array.length is) 0 c.fams;
       scenarios = Hashtbl.length tags;
-      blocks =
-        (match p.bstruct with
-        | Some st -> Array.length st.Block.sizes
-        | None -> 0);
     }
 
 let rescale_compiled p scale =
@@ -339,11 +290,8 @@ let newton_center opts ws c t y =
            if vk >= 0. then Err.fail "Gp.Solver: lost feasibility during Newton";
            phi0 := !phi0 -. log (-.vk))
          c.singles;
-       (match ws.block with
-       | Some b -> Block.solve_spd_ridge_into ~hint:ws.ridge b ws.h ws.g ws.d
-       | None ->
-         Mat.solve_spd_ridge_into ~hint:ws.ridge ~work:ws.chol ~tmp:ws.tmp ws.h
-           ws.g ws.d);
+       Mat.solve_spd_ridge_into ~hint:ws.ridge ~work:ws.chol ~tmp:ws.tmp ws.h
+         ws.g ws.d;
        let lambda2 = Vec.dot ws.g ws.d in
        if lambda2 /. 2. < opts.newton_tol then begin
          converged := true;
@@ -475,9 +423,7 @@ let phase1 opts c y_init =
     let cons1 = Array.append relaxed (Array.of_list slack_bounds) in
     (* The relaxed scenario copies still share term structure (mul_var
        applies the same insertion to every member), so family bundling
-       carries over to phase I.  The block path does not: the slack
-       couples every constraint, growing the border — phase I is the
-       cold path, the dense solve there is fine. *)
+       carries over to phase I. *)
     let fams1, singles1 =
       if c.bundle then build_layout cons1
       else ([||], Array.init (Array.length cons1) Fun.id)
@@ -670,11 +616,7 @@ let solve_attrs = function
 
 let resolve ?options ?warm p =
   let st = structure_stats p in
-  let attrs r =
-    ("families", Tracepoint.Int st.families)
-    :: ("blocks", Tracepoint.Int st.blocks)
-    :: solve_attrs r
-  in
+  let attrs r = ("families", Tracepoint.Int st.families) :: solve_attrs r in
   Tracepoint.timed "gp.solve" ~attrs (fun () ->
       Ok (resolve_impl ?options ?warm p))
 

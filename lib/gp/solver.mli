@@ -68,31 +68,26 @@ val prepare : ?structure:bool -> Problem.t -> prepared
 (** Eliminate equalities, apply default bounds and compile to log-space
     once.  Raises {!Smart_util.Err.Smart_error} on malformed problems.
 
-    With [structure] (default [true]) the solver exploits the shape of
-    merged multi-scenario problems ({!Problem.merge}):
-    - scenario copies of one constraint that differ only in coefficients
-      are {e bundled} — each Newton assembly evaluates the whole family
-      from one pass of term dot products and one pass of [exp], instead
-      of one per scenario;
-    - when scenarios carry private variables, the variable index is
-      ordered privates-first and Newton systems are solved through the
-      arrow-head Schur path ({!Smart_linalg.Block}) instead of the dense
-      Cholesky.  Merges over a single shared width vector have no
-      private variables and stay on the dense solve.
-    [~structure:false] forces the plain per-constraint dense path — the
-    reference for regression comparisons.  Either way the same barrier
+    [structure] (default [true]) selects family bundling for merged
+    multi-scenario problems ({!Problem.merge}): scenario copies of one
+    constraint that differ only in coefficients are {e bundled}, so each
+    Newton assembly evaluates the whole family from one pass of term dot
+    products and one pass of [exp] instead of one per scenario.
+    [~structure:false] compiles every constraint on its own — the
+    unbundled reference for regression comparisons.  Either way every
+    Newton step is the same dense Cholesky solve and the same barrier
     iterations are performed; results agree to roundoff. *)
 
 type structure_stats = {
   families : int;  (** bundled constraint families *)
   bundled_constraints : int;  (** constraints covered by the bundles *)
   scenarios : int;  (** distinct scenario tags *)
-  blocks : int;  (** arrow-head diagonal blocks; [0] = dense solve *)
 }
 
 val structure_stats : prepared -> structure_stats
-(** What {!prepare} detected — zeroes when prepared with
-    [~structure:false] or when the problem is not a merge. *)
+(** What {!prepare} bundled — [families] and [bundled_constraints] are
+    zero when prepared with [~structure:false] or when the problem is
+    not a merge. *)
 
 val rescale_compiled : prepared -> (string -> float) -> unit
 (** [rescale_compiled p scale] patches each compiled inequality [f <= 1]

@@ -135,14 +135,19 @@ let cholesky m =
     Some l
   end
 
+(* The substitutions index [l.data] directly, as [cholesky_inplace]
+   does: a float returned through [get] is boxed, which on the Newton hot
+   path would allocate ~2n^2 words per solve. *)
 let forward_subst_into l b y =
   let n = Vec.dim b in
+  let d = l.data and c = l.cols in
   for i = 0 to n - 1 do
+    let row = i * c in
     let sum = ref b.(i) in
     for k = 0 to i - 1 do
-      sum := !sum -. (get l i k *. y.(k))
+      sum := !sum -. (d.(row + k) *. y.(k))
     done;
-    y.(i) <- !sum /. get l i i
+    y.(i) <- !sum /. d.(row + i)
   done
 
 let forward_subst l b =
@@ -153,12 +158,13 @@ let forward_subst l b =
 let backward_subst_t_into l y x =
   (* Solves L^T x = y given lower-triangular L. *)
   let n = Vec.dim y in
+  let d = l.data and c = l.cols in
   for i = n - 1 downto 0 do
     let sum = ref y.(i) in
     for k = i + 1 to n - 1 do
-      sum := !sum -. (get l k i *. x.(k))
+      sum := !sum -. (d.((k * c) + i) *. x.(k))
     done;
-    x.(i) <- !sum /. get l i i
+    x.(i) <- !sum /. d.((i * c) + i)
   done
 
 let backward_subst_t l y =
@@ -187,7 +193,7 @@ let solve_spd_ridge_into ?hint ~work ~tmp a b x =
      so the relative cap always terminates on finite input. *)
   let scale = ref 0. in
   for i = 0 to n - 1 do
-    let d = abs_float (get a i i) in
+    let d = abs_float a.data.((i * n) + i) in
     if d > !scale then scale := d
   done;
   let scale = Float.max !scale 1. in

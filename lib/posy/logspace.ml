@@ -107,7 +107,6 @@ let compile idx p =
   in
   { k; logc; base_logc; term_off; cols; expo; support }
 
-let support f = f.support
 let num_terms f = f.k
 
 let rescale f s =
@@ -513,9 +512,6 @@ let family_of members =
     Some fam
   end
   else None
-
-let family_size fam = Array.length fam.members
-let family_terms fam = fam.members.(0).k
 
 (* Term dot products -> E_i in [s.vals], per-member 1/Z in [s.zbuf] and
    values in [s.vbuf]; returns the worst (largest) member value. *)

@@ -52,9 +52,6 @@ val add_weighted_hessian :
 
 val num_terms : t -> int
 
-val support : t -> int array
-(** Sorted distinct variable indices occurring in the posynomial. *)
-
 val rescale : t -> float -> unit
 (** [rescale f s] patches the compiled coefficients in place so [f]
     represents [s · p], where [p] is the posynomial originally passed to
@@ -137,12 +134,6 @@ val family_of : t array -> family option
 val family_refresh : family -> unit
 (** Recompute the coefficient ratios from the members' current
     coefficients — required after {!rescale} of any member. *)
-
-val family_size : family -> int
-(** Number of member scenarios. *)
-
-val family_terms : family -> int
-(** Terms per member (shared). *)
 
 val add_barrier_family :
   scratch -> family -> Smart_linalg.Vec.t ->

@@ -25,7 +25,6 @@ type options = {
   gp_structure : bool;
   certify : bool;
   absint : bool;
-  absint_presolve : bool;
 }
 
 let default_options =
@@ -41,35 +40,20 @@ let default_options =
     gp_structure = true;
     certify = false;
     absint = true;
-    absint_presolve = false;
   }
 
 module Absint = Smart_absint.Absint
 
-(* Static gate + presolve: one interval analysis of the generated
-   program, classified by what this loop can actually do to each budget
-   class.  A certificate (a constraint provably violated at every budget
-   the loop could grant — slope bounds, precharge beyond any reachable
-   relaxation) rejects the specification before anything is compiled or
-   solved.  When presolve is enabled the same fixed point feeds
-   [Absint.reduce ~tighten:false]: constraints proven slack or dominated
-   within their budget class are dropped before [Solver.prepare], with
-   names and the variable set preserved so warm starts and budget
-   rescales work unchanged.  Certified runs skip the reduction — the
-   independent certificate wants every constraint's dual. *)
+(* Static gate: one interval analysis of the generated program,
+   classified by what this loop can actually do to each budget class.  A
+   certificate (a constraint provably violated at every budget the loop
+   could grant — slope bounds, precharge beyond any reachable relaxation)
+   rejects the specification before anything is compiled or solved. *)
 let absint_gate ~robust ~options ~target_ps (problem : Problem.t) =
-  if not (options.absint || options.absint_presolve) then Ok problem
-  else begin
-    let analysis = Absint.analyze ~options:(Absint.sizer_options ~robust) problem in
-    match analysis.Absint.certificate with
-    | Some c when options.absint ->
-      Error (Absint.err_of_certificate ~target_ps c)
-    | Some _ -> Ok problem
-    | None ->
-      if options.absint_presolve && not options.certify then
-        Ok (Absint.reduce ~tighten:false analysis).Absint.reduced
-      else Ok problem
-  end
+  if not options.absint then None
+  else
+    Absint.infeasibility ~options:(Absint.sizer_options ~robust) ~target_ps
+      problem
 
 type outcome = {
   sizing : (string * float) list;
@@ -195,8 +179,8 @@ let size_set ?(options = default_options) ?(mapper = sequential_mapper)
     absint_gate ~robust:multi ~options
       ~target_ps:spec.Constraints.target_delay generated.Constraints.problem
   with
-  | Error e -> Error e
-  | Ok gp_problem ->
+  | Some e -> Error e
+  | None ->
   let target = spec.Constraints.target_delay in
   let precharge_budget =
     match spec.Constraints.precharge_budget with Some b -> b | None -> target
@@ -242,7 +226,9 @@ let size_set ?(options = default_options) ?(mapper = sequential_mapper)
   let result = ref None in
   (* Compile the program once; every respecification round only patches
      the compiled budget coefficients and re-solves, warm-started. *)
-  let prepared = Solver.prepare ~structure:options.gp_structure gp_problem in
+  let prepared =
+    Solver.prepare ~structure:options.gp_structure generated.Constraints.problem
+  in
   let gp_families = (Solver.structure_stats prepared).Solver.families in
   let warm = ref None in
   (* Warm-start policy: hold one anchor snapshot while it keeps working,
@@ -628,9 +614,9 @@ let minimize_delay_typed ?(options = default_options) tech netlist spec =
     absint_gate ~robust:false ~options
       ~target_ps:spec.Constraints.target_delay generated.Constraints.problem
   with
-  | Error e -> Error e
-  | Ok gp_problem ->
-  match Solver.solve ~options:options.gp_options gp_problem with
+  | Some e -> Error e
+  | None ->
+  match Solver.solve ~options:options.gp_options generated.Constraints.problem with
   | Error e -> Error (Err.Gp_failure e)
   | Ok sol -> (
     match sol.Solver.status with

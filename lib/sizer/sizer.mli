@@ -30,12 +30,11 @@ type options = {
           incremental hot path (default true).  Disable to force a cold
           compile-and-phase-I solve every round, e.g. for A/B timing. *)
   gp_structure : bool;
-      (** let the GP compile exploit merged multi-corner structure:
-          scenario copies of a constraint are bundled into families that
-          share one exp pass per Newton assembly, and scenario-private
-          variables (when present) route the Newton solve through the
-          arrow-head Schur path (default true).  Disable for a dense
-          per-constraint reference solve, e.g. for A/B comparisons. *)
+      (** bundle the scenario copies of a constraint in merged
+          multi-corner programs into families that share one exp pass
+          per Newton assembly (default true).  Disable for an unbundled
+          per-constraint reference solve, e.g. for A/B comparisons; the
+          Newton solve is the same dense Cholesky either way. *)
   certify : bool;
       (** validate every [Optimal] resolve with the independent
           {!Smart_gp.Certify} checker against a problem-space
@@ -49,13 +48,6 @@ type options = {
           {!Smart_util.Err.Infeasible_spec} — {e before} any GP solve
           runs, so the fast-fail path emits no [gp.solve] span
           (default true) *)
-  absint_presolve : bool;
-      (** feed {!Smart_gp.Solver.prepare} the
-          {!Smart_absint.Absint.reduce}d program — provably-slack and
-          dominated constraints dropped within their budget class, the
-          variable set and constraint names preserved.  Skipped when
-          [certify] is set (the independent certificate checks the full
-          dual vector of the unreduced program).  (default false) *)
 }
 
 val default_options : options

@@ -136,7 +136,7 @@ let solve_optimal name problem =
 let assert_reduction_equivalent name (problem : Smart.Gp_problem.t) =
   let a = Absint.analyze problem in
   checkb (name ^ ": no certificate") true (a.Absint.certificate = None);
-  let red = Absint.reduce ~tighten:true a in
+  let red = Absint.reduce a in
   let full = solve_optimal (name ^ " full") problem in
   let small = solve_optimal (name ^ " reduced") red.Absint.reduced in
   let obj_diff = rel_diff full.Gp.objective_value small.Gp.objective_value in

@@ -267,9 +267,9 @@ let test_generate_projected_matches_per_corner () =
       projected
       (Corners.to_list set)
 
-(* The tentpole regression: the structured (bundled / block) solver path
-   must hand the sizer the same advice as the dense reference on the
-   64-bit adder's 3-corner robust solve. *)
+(* The structured (bundled) solver path must hand the sizer the same
+   advice as the unbundled ("dense") reference on the 64-bit adder's
+   3-corner robust solve. *)
 let test_structured_advice_matches_dense () =
   let nl = (Smart.Cla_adder.generate ~bits:64 ()).Smart.Macro.netlist in
   let set = Corners.default_set () in

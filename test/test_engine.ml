@@ -312,12 +312,10 @@ let test_cache_version_stamp_invalidates () =
       checki "restored stamp hits again" (s2.Engine.hits + 1) s3.Engine.hits;
       checki "restored stamp adds no miss" s2.Engine.misses s3.Engine.misses)
 
-(* (g) Persistent-store promotion and the prefetch probe.  A store hit
-   reached through [size] reclassifies the already-counted miss as a
-   store hit; [prefetch] warms memory through the [~counted_miss:false]
-   path and must leave every counter untouched — in particular misses
-   can never go negative however the two paths interleave. *)
-let test_store_promotion_and_prefetch_probe () =
+(* (g) Persistent-store promotion.  A store hit reached through [size]
+   reclassifies the already-counted miss as a store hit and promotes the
+   entry, so the repeat is a memory hit. *)
+let test_store_promotion () =
   let store_tbl : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let store =
     {
@@ -337,33 +335,18 @@ let test_store_promotion_and_prefetch_probe () =
     | Error _ -> Alcotest.fail "producer solve failed"
   in
   checkb "solve persisted to the store" true (Hashtbl.length store_tbl > 0);
-  (* Path 1: prefetch, then size.  The probe records nothing; the
-     request then hits memory, never the store. *)
-  let e1 = Engine.create ~workers:1 ~cache_capacity:16 () in
-  Engine.set_store e1 (Some store);
-  checkb "prefetch promotes the blob" true
-    (Engine.prefetch e1 ~options tech nl spec);
-  let s = Engine.cache_stats e1 in
-  checki "probe: no hit" 0 s.Engine.hits;
-  checki "probe: no miss" 0 s.Engine.misses;
-  checki "probe: no store hit" 0 s.Engine.store_hits;
-  checki "probe: entry resident" 1 s.Engine.entries;
-  (match Engine.size e1 ~options tech nl spec with
+  (* Size straight through the store.  The memory miss is reclassified
+     as a store hit, so the ledger still balances: every request is
+     exactly one of hit / store_hit / miss. *)
+  let e = Engine.create ~workers:1 ~cache_capacity:16 () in
+  Engine.set_store e (Some store);
+  (match Engine.size e ~options tech nl spec with
   | Ok o ->
-    checkb "prefetched result bit-identical" true
+    checkb "store hit bit-identical to the producer" true
       (bits_equal o.Sizer.achieved_delay reference.Sizer.achieved_delay)
-  | Error _ -> Alcotest.fail "warm solve failed");
-  let s = Engine.cache_stats e1 in
-  checki "warm request is a memory hit" 1 s.Engine.hits;
-  checki "misses cannot go negative" 0 s.Engine.misses;
-  (* Path 2: size straight through the store.  The memory miss is
-     reclassified as a store hit, so the ledger still balances: every
-     request is exactly one of hit / store_hit / miss. *)
-  let e2 = Engine.create ~workers:1 ~cache_capacity:16 () in
-  Engine.set_store e2 (Some store);
-  ignore (Engine.size e2 ~options tech nl spec);
-  ignore (Engine.size e2 ~options tech nl spec);
-  let s = Engine.cache_stats e2 in
+  | Error _ -> Alcotest.fail "store-hit solve failed");
+  ignore (Engine.size e ~options tech nl spec);
+  let s = Engine.cache_stats e in
   checki "store hit reclassified" 1 s.Engine.store_hits;
   checki "reclassified miss removed" 0 s.Engine.misses;
   checki "repeat hits memory" 1 s.Engine.hits;
@@ -372,9 +355,8 @@ let test_store_promotion_and_prefetch_probe () =
 
 (* (h) Eviction is deterministic: after a fixed request sequence the
    surviving entries are a function of the sequence alone, not of
-   Hashtbl iteration order.  [prefetch] with no store attached is a
-   stats-neutral residency probe, so the survivor set is observable
-   without perturbing what it observes. *)
+   Hashtbl iteration order.  Residency is probed by sizing: survivors
+   hit memory, evicted keys miss. *)
 let test_eviction_deterministic_survivors () =
   let nl n = (Mux.generate Mux.Strongly_mutexed ~n).Macro.netlist in
   let options = Sizer.default_options in
@@ -396,14 +378,18 @@ let test_eviction_deterministic_survivors () =
     checki (tag ^ ": entries") 2 s.Engine.entries;
     checki (tag ^ ": ledger balances") 5
       (s.Engine.hits + s.Engine.store_hits + s.Engine.misses);
-    let resident n = Engine.prefetch e ~options tech (nl n) spec in
-    checkb (tag ^ ": 2 evicted") false (resident 2);
-    checkb (tag ^ ": 3 evicted") false (resident 3);
-    checkb (tag ^ ": 4 survives") true (resident 4);
-    checkb (tag ^ ": 5 survives") true (resident 5);
-    (* The probes themselves must not have moved any counter. *)
-    checkb (tag ^ ": probes are stats-neutral") true
-      (Engine.cache_stats e = s)
+    let size_all ns =
+      List.iter (fun n -> ignore (Engine.size e ~options tech (nl n) spec)) ns;
+      Engine.cache_stats e
+    in
+    (* Survivors first: probing them refreshes but evicts nothing. *)
+    let s' = size_all [ 4; 5 ] in
+    checki (tag ^ ": 4 and 5 survive") (s.Engine.hits + 2) s'.Engine.hits;
+    checki (tag ^ ": survivors add no miss") s.Engine.misses s'.Engine.misses;
+    let s'' = size_all [ 2; 3 ] in
+    checki (tag ^ ": 2 and 3 were evicted") (s'.Engine.misses + 2)
+      s''.Engine.misses;
+    checki (tag ^ ": evicted keys add no hit") s'.Engine.hits s''.Engine.hits
   in
   let a = drive () and b = drive () in
   check_engine "first run" a;
@@ -444,8 +430,7 @@ let () =
           Alcotest.test_case "key discrimination" `Quick
             test_cache_distinguishes_inputs;
           Alcotest.test_case "LRU bound" `Quick test_lru_eviction_respects_bound;
-          Alcotest.test_case "store promotion + prefetch probe" `Quick
-            test_store_promotion_and_prefetch_probe;
+          Alcotest.test_case "store promotion" `Quick test_store_promotion;
           Alcotest.test_case "deterministic eviction survivors" `Quick
             test_eviction_deterministic_survivors;
           Alcotest.test_case "version stamp invalidates" `Quick

@@ -349,12 +349,11 @@ let prop_redundant_constraint_harmless =
         < 1e-3
       | _ -> false)
 
-(* A synthetic multi-scenario merge with genuinely private variables:
+(* A synthetic multi-scenario merge with scenario-private variables:
    shared widths w0..w_m, and per scenario a chain of stage variables
    s<i>_<j> coupling consecutive widths.  Each stage constraint
    k/(w_j s) + k s/w_{j+1} <= 1 is strictly convex in log s, so the
-   optimum determines every private variable uniquely — the dense and
-   block paths must agree on all of them, not just the objective. *)
+   optimum determines every private variable uniquely. *)
 let arrowhead_merge ~scenarios ~stages =
   let w j = Printf.sprintf "w%d" j in
   let scenario i =
@@ -378,67 +377,53 @@ let arrowhead_merge ~scenarios ~stages =
   in
   P.merge ~objective tagged
 
-let test_merge_structure_partition () =
-  let merged = arrowhead_merge ~scenarios:3 ~stages:2 in
-  (match P.structure merged with
-  | None -> Alcotest.fail "merged problem reports no structure"
-  | Some st ->
-    Alcotest.(check (array string)) "tags" [| "c0"; "c1"; "c2" |] st.P.tags;
-    Alcotest.(check (list string)) "shared are the widths" [ "w0"; "w1"; "w2" ]
-      (List.sort compare st.P.shared);
-    List.iter
-      (fun (tag, privs) ->
-        Alcotest.(check int) (tag ^ " private count") 2 (List.length privs);
-        checkb (tag ^ " privates carry the tag index") true
-          (List.for_all
-             (fun v ->
-               String.length v >= 2 && v.[1] = tag.[String.length tag - 1])
-             privs))
-      st.P.private_vars);
-  (* An unmerged problem has no partition... *)
-  checkb "plain problem has no structure" true
-    (P.structure (P.make (Posy.var "x")) = None);
-  (* ...and a merge over only shared variables has tags but no blocks. *)
-  let shared_only =
-    P.merge ~objective:(Posy.var "x")
-      [
-        ("a", P.make ~inequalities:[ ("c", Posy.of_monomial (M.make 0.5 [ ("x", -1.) ])) ]
-                (Posy.var "x"));
-        ("b", P.make ~inequalities:[ ("c", Posy.of_monomial (M.make 0.7 [ ("x", -1.) ])) ]
-                (Posy.var "x"));
-      ]
+(* Bundling on a merge with scenario-private variables: the stage copies
+   mention different privates, so they stay unbundled, while per-scenario
+   floors on the shared widths (only the coefficient differs) bundle into
+   one family per width.  Both compiles must reach the same optimum,
+   privates included, not just the same objective. *)
+let test_bundled_matches_unbundled () =
+  let scenarios = 3 and stages = 5 in
+  let merged = arrowhead_merge ~scenarios ~stages in
+  let floors =
+    List.concat
+      (List.init scenarios (fun i ->
+           List.init (stages + 1) (fun j ->
+               ( P.scenario_name ~tag:(Printf.sprintf "c%d" i)
+                   (Printf.sprintf "fl%d" j),
+                 Posy.of_monomial
+                   (M.make
+                      (0.5 +. (0.1 *. float_of_int i))
+                      [ (Printf.sprintf "w%d" j, -1.) ]) ))))
   in
-  match P.structure shared_only with
-  | None -> Alcotest.fail "shared-only merge reports no structure"
-  | Some st ->
-    checkb "no private variables" true
-      (List.for_all (fun (_, privs) -> privs = []) st.P.private_vars)
-
-let test_block_path_matches_dense () =
-  let merged = arrowhead_merge ~scenarios:3 ~stages:5 in
-  let structured = S.prepare ~structure:true merged in
-  let dense = S.prepare ~structure:false merged in
-  Alcotest.(check int) "arrow-head blocks detected" 3
-    (S.structure_stats structured).S.blocks;
-  Alcotest.(check int) "dense reference has none" 0
-    (S.structure_stats dense).S.blocks;
-  match (S.resolve structured, S.resolve dense) with
-  | Ok sb, Ok sd ->
-    checkb "both optimal" true (sb.S.status = S.Optimal && sd.S.status = S.Optimal);
-    checkf 1e-6 "objective agrees" sd.S.objective_value sb.S.objective_value;
+  let merged = { merged with P.inequalities = merged.P.inequalities @ floors } in
+  let bundled = S.prepare ~structure:true merged in
+  let unbundled = S.prepare ~structure:false merged in
+  let st = S.structure_stats bundled in
+  Alcotest.(check int) "one family per width floor" (stages + 1) st.S.families;
+  Alcotest.(check int) "only the floors bundled" (scenarios * (stages + 1))
+    st.S.bundled_constraints;
+  Alcotest.(check int) "unbundled reference has none" 0
+    (S.structure_stats unbundled).S.families;
+  match (S.resolve bundled, S.resolve unbundled) with
+  | Ok sb, Ok su ->
+    checkb "both optimal" true (sb.S.status = S.Optimal && su.S.status = S.Optimal);
+    checkf 1e-6 "objective agrees" su.S.objective_value sb.S.objective_value;
     List.iter
-      (fun (v, xd) ->
+      (fun (v, xu) ->
         let xb = S.lookup sb v in
         checkb (v ^ " agrees") true
-          (abs_float (xb -. xd) <= 1e-5 *. Float.max 1. (abs_float xd)))
-      sd.S.values
+          (abs_float (xb -. xu) <= 1e-5 *. Float.max 1. (abs_float xu)))
+      su.S.values
   | _ -> Alcotest.fail "resolve failed"
 
 (* The warm hot path's allocation contract: all Newton-loop vectors and
-   matrices live in the prepared workspace, so a warm re-solve's minor
+   matrices live in the prepared workspace and the dense Cholesky solve
+   allocates a constant few words per call, so a warm re-solve's minor
    allocation is the fixed per-solve overhead (solution lists), not
    O(newton iterations).  A leak of even one Hessian-sized buffer per
-   iteration (~3.4k words here) trips the per-iteration bound. *)
+   iteration (~440 words for these 21 variables) trips the
+   per-iteration bound. *)
 let test_warm_resolve_newton_allocation_free () =
   let merged = arrowhead_merge ~scenarios:3 ~stages:5 in
   let prepared = S.prepare ~structure:true merged in
@@ -490,10 +475,8 @@ let () =
         ] );
       ( "structure",
         [
-          Alcotest.test_case "merge partition" `Quick
-            test_merge_structure_partition;
-          Alcotest.test_case "block path = dense path" `Quick
-            test_block_path_matches_dense;
+          Alcotest.test_case "bundled = unbundled" `Quick
+            test_bundled_matches_unbundled;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

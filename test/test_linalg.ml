@@ -117,84 +117,57 @@ let test_symv_lower_ignores_upper () =
   Mat.symv_lower_into m (Vec.of_list [ 1.; 2. ]) y;
   Alcotest.(check (list (float 1e-12))) "y = Ax" [ 4.; 7. ] (Vec.to_list y)
 
-(* Random arrow-head SPD system in block order, lower triangle filled:
-   per-block G G^T + dominance on the diagonal, random coupling strips
-   into the border.  Returns the structure and the (lower-valid) matrix. *)
-let random_arrowhead rng ~blocks ~maxb ~border =
-  let sizes = Array.init blocks (fun _ -> 1 + Smart_util.Rng.int rng maxb) in
-  let st = { Smart_linalg.Block.sizes; border } in
-  let n = Smart_linalg.Block.dim st in
-  let full = Mat.create n n in
-  let offs = Array.make (blocks + 1) 0 in
-  for i = 0 to blocks - 1 do
-    offs.(i + 1) <- offs.(i) + sizes.(i)
-  done;
-  let nb = offs.(blocks) in
-  (* Dense symmetric factor respecting the arrow-head sparsity: a block
-     row of G touches only its own block's columns, a border row touches
-     everything — so G G^T couples blocks to the border but never block
-     to block. *)
-  let g = Mat.create n n in
-  let bi_of i =
-    let b = ref 0 in
-    while !b < blocks && i >= offs.(!b + 1) do incr b done;
-    !b
-  in
-  for i = 0 to n - 1 do
-    let lo, hi =
-      if i < nb then
-        let b = bi_of i in
-        (offs.(b), offs.(b + 1))
-      else (0, n)
-    in
-    for j = lo to hi - 1 do
-      Mat.set g i j (Smart_util.Rng.uniform rng (-1.) 1.)
-    done
-  done;
-  (* full = G G^T + (n+1) I, computed lower-only. *)
-  for i = 0 to n - 1 do
-    for j = 0 to i do
-      let acc = ref (if i = j then float_of_int (n + 1) else 0.) in
-      for k = 0 to n - 1 do
-        acc := !acc +. (Mat.get g i k *. Mat.get g j k)
+(* The dense ridge solve is the Newton hot path: with caller-owned
+   workspaces it must allocate O(1) words per call, not O(n^2) — a boxed
+   float per substitution step would cost ~52k words at n = 161. *)
+let test_ridge_solve_into_allocation () =
+  List.iter
+    (fun n ->
+      let rng = Smart_util.Rng.create n in
+      let g = Mat.init n n (fun _ _ -> Smart_util.Rng.uniform rng (-1.) 1.) in
+      let a = Mat.add (Mat.matmul g (Mat.transpose g)) (Mat.identity n) in
+      let b = Vec.init n (fun _ -> Smart_util.Rng.uniform rng (-1.) 1.) in
+      let work = Mat.create n n and tmp = Vec.create n and x = Vec.create n in
+      let hint = ref 0. in
+      let solve () = Mat.solve_spd_ridge_into ~hint ~work ~tmp a b x in
+      solve ();
+      let calls = 10 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        solve ()
       done;
-      Mat.set full i j !acc
-    done
-  done;
-  (st, full)
+      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+      checkb
+        (Printf.sprintf "n = %d: residual tiny" n)
+        true
+        (Vec.norm_inf (Vec.sub (Mat.matvec a x) b) < 1e-9);
+      if per_call >= 1000. then
+        Alcotest.failf "n = %d: %.0f minor words per solve" n per_call)
+    [ 81; 161 ]
 
-(* The tentpole property: the block Schur solve matches the dense ridge
-   solve within 1e-9 on random arrow-head SPD systems. *)
-let prop_block_matches_dense =
-  QCheck.Test.make ~name:"block Schur solve matches solve_spd_ridge (1e-9)"
-    ~count:200
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Smart_util.Rng.create seed in
-      let blocks = 1 + Smart_util.Rng.int rng 4 in
-      let border = Smart_util.Rng.int rng 4 in
-      let st, a = random_arrowhead rng ~blocks ~maxb:4 ~border in
-      let n = Smart_linalg.Block.dim st in
-      let b = Vec.init n (fun _ -> Smart_util.Rng.uniform rng (-5.) 5.) in
-      (* Mirror the lower triangle for the dense reference solve. *)
-      let sym = Mat.init n n (fun i j -> Mat.get a (max i j) (min i j)) in
-      let dense = Mat.solve_spd_ridge sym b in
-      let ws = Smart_linalg.Block.make_ws st in
-      let x = Vec.create n in
-      Smart_linalg.Block.solve_spd_ridge_into ws a b x;
-      Vec.norm_inf (Vec.sub dense x) <= 1e-9 *. Float.max 1. (Vec.norm_inf dense))
-
-(* The block path must survive rank-deficient systems through the shared
-   ridge-escalation ladder, like the dense path does. *)
-let test_block_ridge_fallback () =
-  let st = { Smart_linalg.Block.sizes = [| 2 |]; border = 1 } in
-  let a = Mat.create 3 3 in
-  let ws = Smart_linalg.Block.make_ws st in
-  let x = Vec.create 3 in
+(* The hint ladder of the dense ridge solve: a singular system records
+   the ridge that worked, a later well-conditioned system restarts from
+   that hint with the same workspaces and still solves accurately, and
+   neither call writes through [a] or [b]. *)
+let test_ridge_hint_ladder () =
+  let n = 3 in
+  let work = Mat.create n n and tmp = Vec.create n and x = Vec.create n in
   let hint = ref 0. in
-  Smart_linalg.Block.solve_spd_ridge_into ~hint ws a (Vec.of_list [ 1.; 1.; 1. ]) x;
-  checkb "finite" true (Array.for_all Float.is_finite x);
-  checkb "ridge recorded" true (!hint > 0.)
+  let singular = Mat.create n n and ones = Vec.of_list [ 1.; 1.; 1. ] in
+  Mat.solve_spd_ridge_into ~hint ~work ~tmp singular ones x;
+  checkb "singular: finite" true (Array.for_all Float.is_finite x);
+  checkb "singular: ridge recorded" true (!hint > 0.);
+  checkb "singular: a untouched" true
+    (Array.for_all (fun v -> v = 0.) (Mat.data singular));
+  let rows = [| [| 4.; 1.; 0. |]; [| 1.; 3.; 1. |]; [| 0.; 1.; 2. |] |] in
+  let a = Mat.init n n (fun i j -> rows.(i).(j)) in
+  let a0 = Mat.copy a and b = Vec.of_list [ 1.; -2.; 3. ] in
+  Mat.solve_spd_ridge_into ~hint ~work ~tmp a b x;
+  checkb "spd: residual tiny" true (Vec.norm_inf (Vec.sub (Mat.matvec a x) b) < 1e-9);
+  (* One rung below the 1e-12 hint is floored at 1e-12 x max diagonal. *)
+  checkb "spd: hint stays small" true (!hint <= 1e-12 *. 4.);
+  checkb "spd: a untouched" true (Mat.data a = Mat.data a0);
+  Alcotest.(check (list (float 0.))) "spd: b untouched" [ 1.; -2.; 3. ] (Vec.to_list b)
 
 (* Property: random SPD systems solve with small residuals. *)
 let prop_spd_solve =
@@ -210,6 +183,31 @@ let prop_spd_solve =
       match Mat.cholesky_solve a b with
       | None -> false
       | Some x -> Vec.norm_inf (Vec.sub (Mat.matvec a x) b) < 1e-6)
+
+(* Property: the substitutions read only the lower triangle, as the
+   factor left by [cholesky_inplace] keeps the stale matrix above the
+   diagonal, and the backward pass may solve in place.  Garbage in the
+   upper triangle exposes any transposed index. *)
+let prop_substitutions_lower_only =
+  QCheck.Test.make ~name:"substitutions ignore the upper triangle" ~count:100
+    QCheck.(pair (int_range 1 12) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let rng = Smart_util.Rng.create seed in
+      let u () = Smart_util.Rng.uniform rng (-1.) 1. in
+      let l =
+        Mat.init n n (fun i j ->
+            if i = j then 1. +. abs_float (u ())
+            else if j < i then u ()
+            else 1e6 *. u ())
+      in
+      let lower = Mat.init n n (fun i j -> if j <= i then Mat.get l i j else 0.) in
+      let b = Vec.init n (fun _ -> Smart_util.Rng.uniform rng (-5.) 5.) in
+      let y = Vec.create n in
+      Mat.forward_subst_into l b y;
+      let x = Vec.copy y in
+      Mat.backward_subst_t_into l x x;
+      Vec.norm_inf (Vec.sub (Mat.matvec lower y) b) < 1e-9
+      && Vec.norm_inf (Vec.sub (Mat.matvec (Mat.transpose lower) x) y) < 1e-9)
 
 let prop_lu_matches_cholesky =
   QCheck.Test.make ~name:"lu and cholesky agree on SPD systems" ~count:50
@@ -249,11 +247,13 @@ let () =
             test_cholesky_rejects_indefinite;
           Alcotest.test_case "cholesky solve" `Quick test_cholesky_solve;
           Alcotest.test_case "ridge fallback" `Quick test_ridge_always_returns;
-          Alcotest.test_case "block ridge fallback" `Quick test_block_ridge_fallback;
+          Alcotest.test_case "ridge solve_into allocation" `Quick
+            test_ridge_solve_into_allocation;
+          Alcotest.test_case "ridge hint ladder" `Quick test_ridge_hint_ladder;
           Alcotest.test_case "lu with pivoting" `Quick test_lu_solve;
           Alcotest.test_case "lu singular" `Quick test_lu_singular;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_spd_solve; prop_lu_matches_cholesky; prop_block_matches_dense ] );
+          [ prop_spd_solve; prop_lu_matches_cholesky; prop_substitutions_lower_only ] );
     ]
