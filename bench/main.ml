@@ -19,7 +19,7 @@ let all_experiments =
     ("gp", "GP solver: warm-started hot path (BENCH_gp.json)");
     ("engine", "Engine: parallel evaluation + solve cache (BENCH_engine.json)");
     ("corners", "Smart_corners: robust multi-corner sizing (BENCH_corners.json)");
-    ("sparse", "Structured GP: corner families vs dense (BENCH_sparse.json)");
+    ("sparse", "Structured GP: the merged program on the monomial basis (BENCH_sparse.json)");
     ("hier", "Smart_hier: regularity + partitioned GP (BENCH_hier.json)");
     ("absint", "Smart_absint: interval proofs + presolve (BENCH_absint.json)");
     ("egraph", "Smart_rewrite: e-graph saturation + gauntlet (BENCH_egraph.json)");
@@ -97,19 +97,19 @@ let smoke_corners () =
   exit (if ok then 0 else 1)
 
 (* Sparse smoke (dune build @sparse-smoke, pulled into @bench-smoke): the
-   structured-GP experiment at reduced size.  Fails when the structured
-   path silently fell back to dense (no families bundled) or diverged
-   from the dense reference — not just when the artifact is malformed. *)
+   structured-GP experiment at reduced size.  Fails when the corner
+   copies stop sharing the typ-only basis rows or the compiled kernel
+   departs from the per-term reference — not just when the artifact is
+   malformed. *)
 let smoke_sparse () =
   let engaged = Exp_sparse.run ~fast:true () in
   let ok =
     engaged
     && Runner.json_has_fields ~file:"BENCH_sparse.json"
          [
-           "scenarios"; "families"; "bundled_constraints";
-           "wall_typ"; "wall_dense"; "wall_block"; "robust_typ_ratio";
-           "dense_block_speedup"; "newton_dense"; "newton_block";
-           "advice_max_rel_diff"; "workers";
+           "scenarios"; "families"; "bundled_constraints"; "rows"; "terms";
+           "kernel_max_rel_diff"; "wall_typ"; "wall_block"; "robust_typ_ratio";
+           "newton_block"; "workers";
          ]
   in
   Printf.printf "\nsparse smoke: %s\n" (if ok then "OK" else "FAILED");

@@ -50,56 +50,17 @@ type solution = {
 
 type compiled = {
   idx : Logspace.index;
-  f0 : Logspace.t;
-  cons : (string * Logspace.t) array;
-  bundle : bool;  (* family bundling requested at compile time *)
-  fams : (int array * Logspace.family) array;
-      (* bundled scenario copies; indices into [cons] *)
-  singles : int array;  (* unbundled constraints; indices into [cons] *)
+  prog : Logspace.program;  (* objective, inequalities, bounds *)
+  names : string array;  (* constraint [k]'s name *)
+  scales : float array;  (* constraint [k]'s current budget factor *)
 }
 
-(* Group scenario copies [<tag>@<name>] of one constraint by base name
-   and bundle each group whose compiled members share term structure
-   exactly (they do whenever the merge only rescaled coefficients — the
-   canonical compile order is coefficient-blind).  Bundled members
-   evaluate from one pass of dot products and one pass of exp per
-   family instead of one per member: on a 3-corner merge that removes
-   two thirds of the transcendental work dominating Newton assembly. *)
-let build_layout cons =
-  let groups = Hashtbl.create 64 in
-  let order = ref [] in
-  Array.iteri
-    (fun i (name, _) ->
-      match Problem.split_scenario name with
-      | None -> ()
-      | Some (_, base) -> (
-        match Hashtbl.find_opt groups base with
-        | None ->
-          Hashtbl.replace groups base [ i ];
-          order := base :: !order
-        | Some is -> Hashtbl.replace groups base (i :: is)))
-    cons;
-  let fams = ref [] in
-  let bundled = Array.make (max 1 (Array.length cons)) false in
-  List.iter
-    (fun base ->
-      let is = Array.of_list (List.rev (Hashtbl.find groups base)) in
-      if Array.length is >= 2 then
-        match Logspace.family_of (Array.map (fun i -> snd cons.(i)) is) with
-        | Some fam ->
-          Array.iter (fun i -> bundled.(i) <- true) is;
-          fams := (is, fam) :: !fams
-        | None -> ())
-    (List.rev !order);
-  let singles = ref [] in
-  Array.iteri (fun i _ -> if not bundled.(i) then singles := i :: !singles) cons;
-  (Array.of_list (List.rev !fams), Array.of_list (List.rev !singles))
-
-(* Per-problem reusable buffers: the Newton inner loop runs entirely in
+(* Per-program reusable buffers: the Newton inner loop runs entirely in
    these, so repeated [resolve] calls on one prepared problem perform no
    heap allocation per iteration. *)
 type workspace = {
-  scratch : Logspace.scratch;
+  kern : Logspace.kernel;  (* the program's evaluation state *)
+  m : int;  (* constraints of the program *)
   h : Mat.t;  (* Hessian of the barrier, lower triangle only *)
   g : Vec.t;  (* gradient *)
   d : Vec.t;  (* Newton direction *)
@@ -110,12 +71,21 @@ type workspace = {
   ridge : float ref;  (* last successful regularisation shift *)
 }
 
+type structure_stats = {
+  families : int;
+  bundled_constraints : int;
+  scenarios : int;
+  rows : int;
+  terms : int;
+}
+
 type prepared = {
   problem : Problem.t;  (* as given: objective evaluation *)
   reduced : Problem.t;  (* after equality elimination + default bounds *)
   eliminated : (string * Monomial.t) list;
   c : compiled option;  (* None: fully determined by equalities *)
   ws : workspace option;
+  stats : structure_stats;
 }
 
 let bounds_to_inequalities bounds =
@@ -132,27 +102,24 @@ let bounds_to_inequalities bounds =
       lo_c @ hi_c)
     bounds
 
-let compile ~bundle (problem : Problem.t) =
-  let ineqs = problem.inequalities @ bounds_to_inequalities problem.bounds in
+let inequalities (problem : Problem.t) =
+  problem.inequalities @ bounds_to_inequalities problem.bounds
+
+let compile (problem : Problem.t) =
+  let ineqs = Array.of_list (inequalities problem) in
   let idx = Logspace.index_of_vars (Problem.variables problem) in
-  let cons =
-    Array.of_list (List.map (fun (n, p) -> (n, Logspace.compile idx p)) ineqs)
-  in
-  let fams, singles =
-    if bundle then build_layout cons
-    else ([||], Array.init (Array.length cons) Fun.id)
-  in
-  { idx; f0 = Logspace.compile idx problem.objective; cons; bundle; fams; singles }
-
-let max_terms c =
-  Array.fold_left
-    (fun acc (_, f) -> max acc (Logspace.num_terms f))
-    (Logspace.num_terms c.f0) c.cons
-
-let make_workspace c =
-  let n = Logspace.index_size c.idx in
   {
-    scratch = Logspace.make_scratch ~n ~max_terms:(max_terms c);
+    idx;
+    prog = Logspace.program idx ~objective:problem.objective (Array.map snd ineqs);
+    names = Array.map fst ineqs;
+    scales = Array.make (Array.length ineqs) 1.;
+  }
+
+let make_workspace prog =
+  let n = Logspace.dim prog in
+  {
+    kern = Logspace.kernel prog;
+    m = Logspace.constraints prog;
     h = Mat.create n n;
     g = Vec.create n;
     d = Vec.create n;
@@ -163,88 +130,80 @@ let make_workspace c =
     ridge = ref 0.;
   }
 
-let prepare ?(structure = true) problem =
+(* Scenario copies [<tag>@<name>] of one constraint that reference the
+   same basis rows form a family: a corner merge only rescales
+   coefficients, so every copy shares its rows by construction. *)
+let structure_of c =
+  let groups = Hashtbl.create 64 and tags = Hashtbl.create 8 in
+  Array.iteri
+    (fun k name ->
+      match Problem.split_scenario name with
+      | None -> ()
+      | Some (tag, base) ->
+        Hashtbl.replace tags tag ();
+        let ks = Option.value ~default:[] (Hashtbl.find_opt groups base) in
+        Hashtbl.replace groups base (k :: ks))
+    c.names;
+  let families, bundled =
+    Hashtbl.fold
+      (fun _ ks (f, b) ->
+        match ks with
+        | k0 :: (_ :: _ as rest) when List.for_all (Logspace.same_rows c.prog k0) rest ->
+          (f + 1, b + List.length ks)
+        | _ -> (f, b))
+      groups (0, 0)
+  in
+  {
+    families;
+    bundled_constraints = bundled;
+    scenarios = Hashtbl.length tags;
+    rows = Logspace.rows c.prog;
+    terms = Logspace.terms c.prog;
+  }
+
+let prepare problem =
   let reduced, eliminated = Problem.eliminate_equalities problem in
   let reduced = Problem.default_bounds ~lo:1e-9 ~hi:1e9 reduced in
   match Problem.variables reduced with
-  | [] -> { problem; reduced; eliminated; c = None; ws = None }
+  | [] ->
+    let stats =
+      { families = 0; bundled_constraints = 0; scenarios = 0; rows = 0; terms = 0 }
+    in
+    { problem; reduced; eliminated; c = None; ws = None; stats }
   | _ ->
-    let c = compile ~bundle:structure reduced in
-    { problem; reduced; eliminated; c = Some c; ws = Some (make_workspace c) }
-
-type structure_stats = {
-  families : int;
-  bundled_constraints : int;
-  scenarios : int;
-}
-
-let structure_stats p =
-  match p.c with
-  | None -> { families = 0; bundled_constraints = 0; scenarios = 0 }
-  | Some c ->
-    let tags = Hashtbl.create 8 in
-    Array.iter
-      (fun (name, _) ->
-        match Problem.split_scenario name with
-        | Some (tag, _) -> Hashtbl.replace tags tag ()
-        | None -> ())
-      c.cons;
+    let c = compile reduced in
     {
-      families = Array.length c.fams;
-      bundled_constraints =
-        Array.fold_left (fun acc (is, _) -> acc + Array.length is) 0 c.fams;
-      scenarios = Hashtbl.length tags;
+      problem;
+      reduced;
+      eliminated;
+      c = Some c;
+      ws = Some (make_workspace c.prog);
+      stats = structure_of c;
     }
+
+let structure_stats p = p.stats
 
 let rescale_compiled p scale =
   match p.c with
   | None -> ()
   | Some c ->
-    (* [Logspace.rescale] is absolute (relative to compile time), so every
-       constraint is re-patched each call — a factor reverting to 1.0
-       restores the as-compiled coefficients. *)
-    Array.iter (fun (name, f) -> Logspace.rescale f (scale name)) c.cons;
-    (* Family ratios are derived from the coefficients; refresh them. *)
-    Array.iter (fun (_, fam) -> Logspace.family_refresh fam) c.fams
+    (* Absolute factors: every constraint is re-patched each call, so a
+       factor reverting to 1.0 restores the as-compiled coefficients. *)
+    Array.iteri
+      (fun k name ->
+        c.scales.(k) <- scale name;
+        Logspace.rescale c.prog k c.scales.(k))
+      c.names
 
 (* ------------------------------------------------------------------ *)
 (* Barrier method                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* phi_t(y) = t F0(y) - sum log(-F_k(y)); +inf when infeasible.
-   Bundled families evaluate all their members per shared exp pass. *)
-let barrier_value scratch c t y =
-  let v0 = Logspace.value_ws scratch c.f0 y in
-  let acc = ref (t *. v0) in
-  (try
-     Array.iter
-       (fun (_, fam) ->
-         if Logspace.family_value_ws scratch fam y ~phi:acc >= 0. then begin
-           acc := infinity;
-           raise Exit
-         end)
-       c.fams;
-     Array.iter
-       (fun i ->
-         let v = Logspace.value_ws scratch (snd c.cons.(i)) y in
-         if v >= 0. then begin
-           acc := infinity;
-           raise Exit
-         end;
-         acc := !acc -. log (-.v))
-       c.singles
-   with Exit -> ());
-  !acc
-
-let strictly_feasible c y =
-  Array.for_all (fun (_, f) -> Logspace.value f y < 0.) c.cons
-
 (* Warm-start acceptance needs real margin, not mere sign: a point with a
    constraint slack of 1e-14 makes the first barrier Hessian ~1e28 and no
    amount of regularisation recovers the Newton direction.  Marginal
    points go through phase I instead, which re-opens the slack. *)
-let feasible_with_margin c y =
-  Array.for_all (fun (_, f) -> Logspace.value f y < -1e-9) c.cons
+let warm_margin = 1e-9
 
 (* One centering: damped Newton on phi_t starting from the strictly
    feasible iterate in [y], which is advanced in place.  Returns
@@ -259,37 +218,23 @@ let feasible_with_margin c y =
    central path at the larger t from a barely different point. *)
 let stall_limit = 8
 
-let newton_center opts ws c t y =
-  let n = Logspace.index_size c.idx in
+let newton_center opts ws t y =
+  let n = Vec.dim ws.g in
   let iters = ref 0 in
   let converged = ref false in
   let alpha_first = ref 1. in
   let stalled = ref 0 in
+  (* The kernel keeps the evaluation of the last point it saw, so each
+     assembly below runs at the line search's accepted trial without
+     evaluating it again. *)
+  let phi0 = ref (Logspace.barrier ws.kern ~t y) in
+  if not (!phi0 < infinity) then Err.fail "Gp.Solver: lost feasibility during Newton";
   (try
      for _ = 1 to opts.max_newton do
        incr iters;
        Mat.fill ws.h 0.;
        Array.fill ws.g 0 n 0.;
-       (* Assemble gradient and Hessian of phi_t, fusing the value
-          computation (phi_t(y) falls out of the same softmax passes). *)
-       let v0 = Logspace.add_objective_term ws.scratch c.f0 y ~weight:t ws.h ws.g in
-       let phi0 = ref (t *. v0) in
-       Array.iter
-         (fun (_, fam) ->
-           let worst =
-             Logspace.add_barrier_family ws.scratch fam y ws.h ws.g ~phi:phi0
-           in
-           if worst >= 0. then
-             Err.fail "Gp.Solver: lost feasibility during Newton")
-         c.fams;
-       Array.iter
-         (fun i ->
-           let vk =
-             Logspace.add_barrier_term ws.scratch (snd c.cons.(i)) y ws.h ws.g
-           in
-           if vk >= 0. then Err.fail "Gp.Solver: lost feasibility during Newton";
-           phi0 := !phi0 -. log (-.vk))
-         c.singles;
+       Logspace.assemble ws.kern ~t ws.h ws.g;
        Mat.solve_spd_ridge_into ~hint:ws.ridge ~work:ws.chol ~tmp:ws.tmp ws.h
          ws.g ws.d;
        let lambda2 = Vec.dot ws.g ws.d in
@@ -314,12 +259,13 @@ let newton_center opts ws c t y =
        while (not !accepted) && !backtracks < 60 do
          Array.blit y 0 ws.trial 0 n;
          Vec.axpy (-. !alpha) ws.d ws.trial;
-         let phi = barrier_value ws.scratch c t ws.trial in
+         let phi = Logspace.barrier ws.kern ~t ws.trial in
          if phi <= !phi0 -. (0.25 *. !alpha *. lambda2) then begin
            Array.blit ws.trial 0 y 0 n;
            accepted := true;
            alpha_first := !alpha;
-           decrease := !phi0 -. phi
+           decrease := !phi0 -. phi;
+           phi0 := phi
          end
          else begin
            alpha := !alpha /. 2.;
@@ -360,9 +306,9 @@ let newton_center opts ws c t y =
    the implied larger t crawls along the boundary. *)
 let snap_gap = 1e-2
 
-let barrier opts ws c ~t0 y ?(stop_when = fun _ -> false) () =
-  let m = Array.length c.cons in
-  let n = Logspace.index_size c.idx in
+let barrier opts ws ~t0 y ?(stop_when = fun _ -> false) () =
+  let m = ws.m in
+  let n = Vec.dim ws.g in
   let t = ref t0 in
   let t_last = ref t0 in
   let total = ref 0 in
@@ -373,7 +319,7 @@ let barrier opts ws c ~t0 y ?(stop_when = fun _ -> false) () =
   let have_snap = ref false in
   (try
      while float_of_int m /. !t >= opts.eps || !centerings = 0 do
-       let iters, _ = newton_center opts ws c !t y in
+       let iters, _ = newton_center opts ws !t y in
        t_last := !t;
        total := !total + iters;
        incr centerings;
@@ -396,61 +342,25 @@ let barrier opts ws c ~t0 y ?(stop_when = fun _ -> false) () =
 (* Phase I                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let slack_var = "__gp_slack"
-
 (* Find a strictly feasible y for [c] by solving min S s.t. f_k(x)/S <= 1,
-   starting from [y_init] with S just above the worst violation.  Built
-   directly in compiled space: the slack variable is appended to the
-   index, so every existing exponent row keeps its position and the
-   current (rescaled) coefficients carry over.  Fails (None) when the
-   optimum S cannot be driven below 1. *)
-let phase1 opts c y_init =
-  if strictly_feasible c y_init then Some (Vec.copy y_init, 0, 0)
+   starting from [y_init] with S just above the worst violation.  The
+   relaxed program is [Logspace.relax]: the slack is appended as the last
+   column, so every original row keeps its place and the current
+   (rescaled) coefficients carry over.  Fails (None) when the optimum S
+   cannot be driven below 1. *)
+let phase1 opts ws c y_init =
+  let worst = Logspace.evaluate ws.kern y_init in
+  if worst < 0. then Some (Vec.copy y_init, 0, 0)
   else begin
     let n = Logspace.index_size c.idx in
-    let idx1 =
-      Logspace.index_of_vars (Logspace.index_names c.idx @ [ slack_var ])
-    in
-    let spos = n in
-    let relaxed =
-      Array.map (fun (name, f) -> (name, Logspace.mul_var f spos (-1.))) c.cons
-    in
-    let slack_bounds =
-      List.map
-        (fun (name, p) -> (name, Logspace.compile idx1 p))
-        (bounds_to_inequalities [ (slack_var, 1e-9, 1e12) ])
-    in
-    let cons1 = Array.append relaxed (Array.of_list slack_bounds) in
-    (* The relaxed scenario copies still share term structure (mul_var
-       applies the same insertion to every member), so family bundling
-       carries over to phase I. *)
-    let fams1, singles1 =
-      if c.bundle then build_layout cons1
-      else ([||], Array.init (Array.length cons1) Fun.id)
-    in
-    let c1 =
-      {
-        idx = idx1;
-        f0 = Logspace.compile idx1 (Posy.var slack_var);
-        cons = cons1;
-        bundle = c.bundle;
-        fams = fams1;
-        singles = singles1;
-      }
-    in
-    let ws1 = make_workspace c1 in
+    let ws1 = make_workspace (Logspace.relax c.prog ~lo:1e-9 ~hi:1e12) in
     let y1 = ws1.ybuf in
     Array.blit y_init 0 y1 0 n;
-    let worst =
-      Array.fold_left
-        (fun acc (_, f) -> max acc (Logspace.value f y_init))
-        neg_infinity c.cons
-    in
     (* Start the slack just above the worst violation: a warm-but-
        infeasible seed (budgets tightened a few percent under the old
        point) violates by ~log of the budget shift, and an e^1 slack
        would throw that proximity away. *)
-    y1.(spos) <- Float.max worst 0. +. 0.05;
+    y1.(n) <- Float.max worst 0. +. 0.05;
     (* The original constraints read only positions < n, so they evaluate
        directly on the extended iterate — no projection needed.  The exit
        margin must clear the regularisation floor (the point feeds the
@@ -459,14 +369,12 @@ let phase1 opts c y_init =
        constraints near 1e-4, and demanding a fatter margin would force
        phase I to re-centre the whole problem instead of just repairing
        the violated few. *)
-    let stop_when y1 =
-      Array.for_all (fun (_, f) -> Logspace.value f y1 < -1e-6) c.cons
-    in
+    let stop_when y1 = Logspace.evaluate ws.kern y1 < -1e-6 in
     let _, total, centerings, _, _ =
-      barrier opts ws1 c1 ~t0:opts.t0 y1 ~stop_when ()
+      barrier opts ws1 ~t0:opts.t0 y1 ~stop_when ()
     in
     let y = Vec.init n (fun i -> y1.(i)) in
-    if strictly_feasible c y then Some (y, total, centerings) else None
+    if Logspace.evaluate ws.kern y < 0. then Some (y, total, centerings) else None
   end
 
 (* ------------------------------------------------------------------ *)
@@ -518,7 +426,7 @@ let infeasible_solution ~newton ~centerings ~warm_started =
     restart = None;
   }
 
-let final_solution p c y t_final ~newton ~centerings ~limit ~warm_started
+let final_solution p ws c y t_final ~newton ~centerings ~limit ~warm_started
     ~restart =
   let env_reduced v = exp y.(Logspace.index_position c.idx v) in
   let reduced_values =
@@ -533,18 +441,15 @@ let final_solution p c y t_final ~newton ~centerings ~limit ~warm_started
     | Some x -> x
     | None -> Err.fail "Gp.Solver: unbound variable %s" v
   in
+  let (_ : float) = Logspace.evaluate ws.kern y in
   let duals =
-    Array.to_list
-      (Array.map
-         (fun (n, f) ->
-           let vk = Logspace.value f y in
-           (n, 1. /. (t_final *. -.vk)))
-         c.cons)
+    List.init (Array.length c.names) (fun k ->
+        (c.names.(k), 1. /. (t_final *. -.Logspace.constraint_value ws.kern k)))
   in
   Log.debug (fun m ->
       m "solved GP: %d vars, %d constraints, %d newton iterations%s"
         (Logspace.index_size c.idx)
-        (Array.length c.cons) newton
+        (Array.length c.names) newton
         (if warm_started then " (warm)" else ""));
   {
     status = (if limit then Iteration_limit else Optimal);
@@ -564,7 +469,7 @@ let resolve_impl ?(options = default_options) ?warm p =
     let n = Logspace.index_size c.idx in
     let warm_feasible =
       match warm with
-      | Some w when Vec.dim w.w_y = n && feasible_with_margin c w.w_y -> true
+      | Some w when Vec.dim w.w_y = n -> Logspace.evaluate ws.kern w.w_y < -.warm_margin
       | _ -> false
     in
     if warm_feasible then begin
@@ -576,9 +481,9 @@ let resolve_impl ?(options = default_options) ?warm p =
       Array.blit w.w_y 0 ws.ybuf 0 n;
       let t0 = Float.max options.t0 w.w_t in
       let t_final, it, ct, limit, restart =
-        barrier options ws c ~t0 ws.ybuf ()
+        barrier options ws ~t0 ws.ybuf ()
       in
-      final_solution p c ws.ybuf t_final ~newton:it ~centerings:ct ~limit
+      final_solution p ws c ws.ybuf t_final ~newton:it ~centerings:ct ~limit
         ~warm_started:true ~restart
     end
     else begin
@@ -593,14 +498,14 @@ let resolve_impl ?(options = default_options) ?warm p =
         | Some w when Vec.dim w.w_y = n -> w.w_y
         | _ -> initial_point p.reduced c.idx
       in
-      match phase1 options c y_init with
+      match phase1 options ws c y_init with
       | None -> infeasible_solution ~newton:0 ~centerings:0 ~warm_started:false
       | Some (y_feas, it1, ct1) ->
         Array.blit y_feas 0 ws.ybuf 0 n;
         let t_final, it2, ct2, limit, restart =
-          barrier options ws c ~t0:options.t0 ws.ybuf ()
+          barrier options ws ~t0:options.t0 ws.ybuf ()
         in
-        final_solution p c ws.ybuf t_final ~newton:(it1 + it2)
+        final_solution p ws c ws.ybuf t_final ~newton:(it1 + it2)
           ~centerings:(ct1 + ct2) ~limit ~warm_started:false ~restart
     end)
 
@@ -614,15 +519,21 @@ let solve_attrs = function
     ]
   | Error e -> [ ("status", Tracepoint.Str ("error: " ^ e)) ]
 
+let size_attrs st =
+  [ ("rows", Tracepoint.Int st.rows); ("terms", Tracepoint.Int st.terms) ]
+
 let resolve ?options ?warm p =
-  let st = structure_stats p in
-  let attrs r = ("families", Tracepoint.Int st.families) :: solve_attrs r in
-  Tracepoint.timed "gp.solve" ~attrs (fun () ->
-      Ok (resolve_impl ?options ?warm p))
+  Tracepoint.timed "gp.solve"
+    ~attrs:(fun r -> size_attrs p.stats @ solve_attrs r)
+    (fun () -> Ok (resolve_impl ?options ?warm p))
 
 let solve ?options problem =
-  Tracepoint.timed "gp.solve" ~attrs:solve_attrs (fun () ->
-      Ok (resolve_impl ?options (prepare problem)))
+  Tracepoint.timed "gp.solve"
+    ~attrs:(fun (st, r) -> size_attrs st @ solve_attrs r)
+    (fun () ->
+      let p = prepare problem in
+      (p.stats, Ok (resolve_impl ?options p)))
+  |> snd
 
 let warm_handle s = s.restart
 
@@ -645,25 +556,71 @@ let lookup sol v =
   | Some x -> x
   | None -> Err.fail "Gp.Solver.lookup: no variable %s in solution" v
 
+(* Per-term reference evaluation: independent of the compiled kernel, so
+   certification does not trust the code it certifies. *)
 let kkt_residual problem sol =
   let reduced, _eliminated = Problem.eliminate_equalities problem in
   let reduced = Problem.default_bounds ~lo:1e-9 ~hi:1e9 reduced in
-  let c = compile ~bundle:false reduced in
-  let n = Logspace.index_size c.idx in
+  let idx = Logspace.index_of_vars (Problem.variables reduced) in
   let y =
-    Vec.init n (fun i -> log (lookup sol (Logspace.index_name c.idx i)))
+    Vec.init (Logspace.index_size idx) (fun i -> log (lookup sol (Logspace.index_name idx i)))
   in
-  (* One scratch for the whole residual: per-constraint gradients are
-     accumulated straight into [r] (scaled by the dual), so the loop
-     allocates nothing — this runs per certification, over every
-     constraint of the merged problem. *)
-  let scratch = Logspace.make_scratch ~n ~max_terms:(max_terms c) in
-  let r = Vec.create n in
-  let (_ : float) = Logspace.add_scaled_grad scratch c.f0 y 1. r in
-  Array.iter
-    (fun (name, f) ->
-      let lambda = try List.assoc name sol.duals with Not_found -> 0. in
-      let (_ : float) = Logspace.add_scaled_grad scratch f y lambda r in
-      ())
-    c.cons;
+  let r = Vec.create (Vec.dim y) in
+  let add lambda p = Vec.axpy lambda (snd (Logspace.value_grad (Logspace.compile idx p) y)) r in
+  add 1. reduced.Problem.objective;
+  List.iter
+    (fun (name, p) -> add (Option.value ~default:0. (List.assoc_opt name sol.duals)) p)
+    (inequalities reduced);
   Vec.norm_inf r
+
+(* The reference side: every barrier term -log(-F_k) summed from the
+   per-term evaluation, its w^2 g_k g_k^T part over g_k's nonzeros. *)
+let kernel_max_rel_diff p values =
+  match (p.c, p.ws) with
+  | None, _ | _, None -> 0.
+  | Some c, Some ws ->
+    let n = Logspace.index_size c.idx in
+    let y =
+      Vec.init n (fun i -> log (List.assoc (Logspace.index_name c.idx i) values))
+    in
+    let h = Mat.create n n and g = Vec.create n and phi = ref 0. in
+    let add ~barrier q =
+      let f = Logspace.compile c.idx q in
+      let v = Logspace.value f y in
+      let w = if barrier then 1. /. -.v else 1. in
+      let _, gk = Logspace.add_weighted_hessian f y w h in
+      Vec.axpy w gk g;
+      if barrier then begin
+        phi := !phi -. log (-.v);
+        let nz = List.filter (fun j -> gk.(j) <> 0.) (List.init n Fun.id) in
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b -> if b <= a then Mat.add_to h a b (w *. w *. gk.(a) *. gk.(b)))
+              nz)
+          nz
+      end
+      else phi := !phi +. v
+    in
+    add ~barrier:false p.reduced.Problem.objective;
+    List.iteri
+      (fun k (_, q) -> add ~barrier:true (Posy.scale c.scales.(k) q))
+      (inequalities p.reduced);
+    let phi_k = Logspace.barrier ws.kern ~t:1. y in
+    if not (phi_k < infinity) then infinity
+    else begin
+      Mat.fill ws.h 0.;
+      Array.fill ws.g 0 n 0.;
+      Logspace.assemble ws.kern ~t:1. ws.h ws.g;
+      let rel got want =
+        let num = ref 0. and den = ref 1. in
+        Array.iteri
+          (fun i x ->
+            num := Float.max !num (Float.abs (x -. want.(i)));
+            den := Float.max !den (Float.abs want.(i)))
+          got;
+        !num /. !den
+      in
+      List.fold_left Float.max 0.
+        [ rel [| phi_k |] [| !phi |]; rel ws.g g; rel (Mat.data ws.h) (Mat.data h) ]
+    end

@@ -17,10 +17,13 @@
     rows), and {!resolve} re-solves, warm-started from the previous
     round's log-space solution ({!warm_handle}).  A strictly feasible
     warm point skips phase I entirely and restarts the barrier near the
-    previous final parameter; all inner-loop vectors and matrices live in
-    a per-problem workspace, so warm re-solves allocate nothing per
-    Newton iteration.  A [prepared] problem owns mutable state (compiled
-    coefficients, workspace) — do not share one across domains. *)
+    previous final parameter.  The program is compiled over its distinct
+    monomials ({!Smart_posy.Logspace.program}): each barrier evaluation
+    costs one [exp] per basis row, not per term.  All inner-loop vectors
+    and matrices live in a per-problem workspace, so warm re-solves
+    allocate nothing per Newton iteration.  A [prepared] problem owns
+    mutable state (compiled coefficients, workspace) — do not share one
+    across domains. *)
 
 type options = {
   eps : float;  (** target duality-gap bound (default 1e-7) *)
@@ -64,35 +67,30 @@ type prepared
 (** A compiled problem plus its solver workspace, reusable across
     {!resolve} calls. *)
 
-val prepare : ?structure:bool -> Problem.t -> prepared
-(** Eliminate equalities, apply default bounds and compile to log-space
-    once.  Raises {!Smart_util.Err.Smart_error} on malformed problems.
-
-    [structure] (default [true]) selects family bundling for merged
-    multi-scenario problems ({!Problem.merge}): scenario copies of one
-    constraint that differ only in coefficients are {e bundled}, so each
-    Newton assembly evaluates the whole family from one pass of term dot
-    products and one pass of [exp] instead of one per scenario.
-    [~structure:false] compiles every constraint on its own — the
-    unbundled reference for regression comparisons.  Either way every
-    Newton step is the same dense Cholesky solve and the same barrier
-    iterations are performed; results agree to roundoff. *)
+val prepare : Problem.t -> prepared
+(** Eliminate equalities, apply default bounds and compile the objective,
+    inequalities and bounds to one log-space program over their distinct
+    exponent rows.  Raises {!Smart_util.Err.Smart_error} on malformed
+    problems. *)
 
 type structure_stats = {
-  families : int;  (** bundled constraint families *)
-  bundled_constraints : int;  (** constraints covered by the bundles *)
+  families : int;
+      (** scenario copies of one constraint ({!Problem.merge}) that share
+          one row list, counted once per constraint *)
+  bundled_constraints : int;  (** constraints in those families *)
   scenarios : int;  (** distinct scenario tags *)
+  rows : int;  (** distinct exponent rows of the compiled program *)
+  terms : int;  (** terms of the objective, inequalities and bounds *)
 }
 
 val structure_stats : prepared -> structure_stats
-(** What {!prepare} bundled — [families] and [bundled_constraints] are
-    zero when prepared with [~structure:false] or when the problem is
-    not a merge. *)
+(** The compiled program's size and scenario structure, computed once by
+    {!prepare}.  Zero for a problem fully determined by equalities. *)
 
 val rescale_compiled : prepared -> (string -> float) -> unit
 (** [rescale_compiled p scale] patches each compiled inequality [f <= 1]
-    into [scale name · f <= 1], in place, without recompiling — only the
-    log-coefficients change.  Factors are absolute with respect to the
+    into [scale name · f <= 1], in place, without recompiling — one
+    log-scale per constraint, O(m).  Factors are absolute with respect to the
     problem as prepared (calling with [fun _ -> 1.] restores it), matching
     {!Smart_constraints.Constraints.rescale} semantics when fed
     {!Smart_constraints.Constraints.rescale_factors}. *)
@@ -102,8 +100,8 @@ val resolve :
 (** Solve the prepared (possibly rescaled) problem.  With [warm]: if the
     point is strictly feasible with margin, phase I is skipped and the
     barrier resumes at the snapshot's own parameter; otherwise the point
-    still seeds phase I.  Emits a ["gp.solve"] tracepoint with a [warm]
-    attribute. *)
+    still seeds phase I.  Emits a ["gp.solve"] tracepoint with [warm],
+    [rows] and [terms] attributes. *)
 
 val warm_handle : solution -> warm_start option
 (** The solution's {!solution.restart} handle. *)
@@ -114,7 +112,8 @@ val warm_of_values : prepared -> (string * float) list -> warm_start option
     missing or non-positive — fall back to a cold resolve. *)
 
 val solve : ?options:options -> Problem.t -> (solution, string) result
-(** [prepare] + cold [resolve].  [Error] is reserved for malformed
+(** [prepare] + cold [resolve], under one ["gp.solve"] tracepoint (its
+    time includes the compile).  [Error] is reserved for malformed
     problems (empty variable set, unbounded by construction); solver
     outcomes are reported in [status]. *)
 
@@ -123,5 +122,18 @@ val lookup : solution -> string -> float
 
 val kkt_residual : Problem.t -> solution -> float
 (** Infinity norm of the KKT stationarity residual (in log space) at the
-    solution, using the reported duals — small at a true optimum.  Used by
+    solution, using the reported duals — small at a true optimum.
+    Evaluated per term ({!Smart_posy.Logspace.value_grad}), independently
+    of the compiled kernel the solver ran on.  Used by {!Certify} and
     property tests. *)
+
+val kernel_max_rel_diff : prepared -> (string * float) list -> float
+(** Self-check of the compiled kernel at a point given by its variable
+    values (e.g. a solution's): the largest difference between the
+    kernel's barrier value, gradient and lower-triangle Hessian at
+    barrier parameter 1 and the same quantities summed per term from
+    {!Smart_posy.Logspace.value_grad} and
+    {!Smart_posy.Logspace.add_weighted_hessian}, each relative to the
+    reference's largest magnitude (at least 1).  Uses the current
+    {!rescale_compiled} factors; [infinity] where the point violates a
+    constraint.  Allocates; meant for benches and tests. *)

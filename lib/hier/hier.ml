@@ -916,7 +916,6 @@ let synthesize_outcome ctx (spec : Constraints.spec) tbl sta ~prech ~iterations
     gp_warm_rounds = sum (fun o -> o.Sizer.gp_warm_rounds);
     gp_newton_per_round =
       List.concat_map (fun o -> o.Sizer.gp_newton_per_round) outcomes;
-    gp_families = 0;
     certified_rounds = sum (fun o -> o.Sizer.certified_rounds);
     sta_verifies = sum (fun o -> o.Sizer.sta_verifies);
     converged = true;

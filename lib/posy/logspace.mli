@@ -23,16 +23,13 @@ val index_name : index -> int -> string
 val index_names : index -> string list
 
 type t
-(** A compiled posynomial [F(y) = logsumexp_i (a_i . y + b_i)], stored as
-    flat CSR arrays (term offsets / column indices / exponents) so the
-    evaluation loops run over unboxed floats. *)
+(** A compiled posynomial [F(y) = logsumexp_i (a_i . y + b_i)], one
+    exponent row per term.  This per-term form is the allocating
+    reference evaluation — property tests and
+    [Smart_gp.Solver.kkt_residual] use it; the solver's Newton loop runs
+    on {!program}. *)
 
 val compile : index -> Posy.t -> t
-(** Terms are ordered canonically by exponent row (total because a
-    {!Posy.t} holds at most one monomial per distinct exponent vector).
-    The order depends only on the rows, never the coefficients, so
-    scenario copies of one constraint — same structure, scaled
-    coefficients — compile to term-aligned forms ({!family_of}). *)
 
 val value : t -> Smart_linalg.Vec.t -> float
 (** [value f y] is [F(y)] = log of the posynomial at [x = exp y]. *)
@@ -46,106 +43,89 @@ val add_weighted_hessian :
     {e lower triangle} of [h] (in place) and returns [(F(y), grad F(y))].
     The Hessian of a logsumexp is [sum_i p_i a_i a_i^T - g g^T] with
     softmax weights [p].  The upper triangle of [h] is never written —
-    the Cholesky-based solves read the lower only, and mirroring would
-    double the assembly cost; readers wanting the full matrix must
-    symmetrize. *)
+    the Cholesky-based solves read the lower only; readers wanting the
+    full matrix must symmetrize. *)
 
-val num_terms : t -> int
+(** {2 Programs over a monomial basis}
 
-val rescale : t -> float -> unit
-(** [rescale f s] patches the compiled coefficients in place so [f]
-    represents [s · p], where [p] is the posynomial originally passed to
-    {!compile}.  The factor is absolute (relative to compile time), not
-    cumulative, and exponent rows are untouched — rescaling a constraint
-    budget never changes the exponents, which is what lets the GP solver
-    reuse one compiled problem across respecification rounds. *)
+    A whole geometric program — an objective [F_0] and constraints
+    [F_k <= 0] — compiled in the matrix form of Boyd, Kim, Vandenberghe
+    & Hassibi ("A tutorial on geometric programming", 2007):
+    [F_k(y) = log (C_k . exp (A y))].  [A] holds each distinct exponent
+    row once; [C] has one sparse row of coefficients per constraint over
+    those basis rows.  Stage delays recur in every path through a stage,
+    and scenario copies of a constraint share every row, so a generated
+    program has far fewer rows than terms.  An evaluation costs one dot
+    product and one [exp] per basis row plus one multiply-add per term. *)
 
-val mul_var : t -> int -> float -> t
-(** [mul_var f j e] is the compiled form of [f · x_j^e] ([j] a valid index
-    position): every term gains the exponent pair.  Coefficients are
-    captured at their *current* (possibly rescaled) values.  Used to build
-    the phase-I problem directly in compiled space. *)
+type program
 
-(** {2 Workspace evaluation}
+val program : index -> objective:Posy.t -> Posy.t array -> program
+(** [program idx ~objective cons] compiles the objective and the
+    constraints [cons.(k) <= 1] over one shared basis. *)
 
-    The solver's inner Newton loop evaluates values, gradients and
-    Hessians thousands of times per solve; these variants reuse one
-    {!scratch} so the loop performs no heap allocation. *)
+val dim : program -> int
+(** Variable count (the index size the program was compiled against). *)
 
-type scratch
-(** Reusable buffers (softmax values/probabilities, gradient accumulator).
-    Not thread-safe; use one per solver instance. *)
+val rows : program -> int
+(** Distinct exponent rows in the basis. *)
 
-val make_scratch : n:int -> max_terms:int -> scratch
-(** [n] is the variable-index size, [max_terms] the largest term count
-    expected (grown automatically if exceeded). *)
+val terms : program -> int
+(** Terms over the objective and every constraint. *)
 
-val value_ws : scratch -> t -> Smart_linalg.Vec.t -> float
-(** Allocation-free {!value}. *)
+val constraints : program -> int
 
-val add_objective_term :
-  scratch -> t -> Smart_linalg.Vec.t -> weight:float ->
-  Smart_linalg.Mat.t -> Smart_linalg.Vec.t -> float
-(** [add_objective_term s f y ~weight h g] accumulates
-    [weight * hess F(y)] into the lower triangle of [h] and
-    [weight * grad F(y)] into [g] (both in place, touching only the
-    support) and returns [F(y)].  Allocation-free. *)
+val rescale : program -> int -> float -> unit
+(** [rescale p k s] makes constraint [k] represent [s · cons.(k)], in
+    place: one log-scale per constraint, absolute with respect to the
+    compiled coefficients ([s = 1.] restores them).  Rows never change,
+    which is what lets the solver reuse one compiled program across
+    respecification rounds. *)
 
-val add_barrier_term :
-  scratch -> t -> Smart_linalg.Vec.t ->
-  Smart_linalg.Mat.t -> Smart_linalg.Vec.t -> float
-(** [add_barrier_term s f y h g] accumulates the Hessian and gradient of
-    the log-barrier term [-log(-F(y))] into the lower triangle of [h]
-    and into [g], and returns [F(y)].  When [F(y) >= 0] (infeasible) it
-    returns the value without touching [h] or [g].  Single-term
-    posynomials (bounds, monomial constraints) skip the softmax
-    entirely: no [exp]/[log] on that path.  Allocation-free. *)
+val same_rows : program -> int -> int -> bool
+(** Constraints [j] and [k] reference the same basis rows — true of the
+    scenario copies of one constraint in a corner merge. *)
 
-val add_scaled_grad :
-  scratch -> t -> Smart_linalg.Vec.t -> float -> Smart_linalg.Vec.t -> float
-(** [add_scaled_grad s f y lambda r] accumulates [lambda * grad F(y)]
-    into [r] (touching only the support) and returns [F(y)].
-    Allocation-free — the KKT residual assembly's replacement for
-    {!value_grad}. *)
+val relax : program -> lo:float -> hi:float -> program
+(** The phase-I program: a slack variable [s] is appended as column
+    {!dim}, every constraint becomes [F_k - log s <= 0] (its rows gain
+    the column with exponent [-1]; current scales carry over), the
+    objective becomes [s], and the bounds [lo <= s <= hi] follow as the
+    last two constraints. *)
 
-(** {2 Constraint families}
+(** {2 Kernel}
 
-    A merged multi-scenario problem carries one copy of each constraint
-    per scenario; the copies share exponent rows exactly (corner merges
-    scale RC products and budgets, never exponents) and, thanks to the
-    canonical {!compile} order, share term order too.  A {!family}
-    evaluates all members from a single pass of term dot products and a
-    single pass of [exp]: member [c]'s softmax terms are
-    [ratio_c(i) * E_i] with [E_i] the shared shifted exponentials and
-    [ratio_c(i) = coef_c(i)/coef_0(i)] precomputed, so per-member work is
-    multiply-adds.  The shared term-part Hessian
-    [sum_i (sum_c w_c p_ci) a_i a_i^T] is accumulated once with combined
-    weights; only the rank-one gradient outer products stay per-member.
-    Results agree with the member-at-a-time path up to roundoff. *)
+    Evaluation state for one program, reused across calls: the Newton
+    loop runs on it without heap allocation.  Each evaluation computes
+    [u = A y], one shared [exp (u_r - shift)] per row and one sum per
+    constraint.  The shift is nonzero only when a row value would
+    overflow; a constraint whose sum underflows or is not finite is
+    summed again from [u] under its own max shift.  Not thread-safe;
+    one kernel per solver workspace. *)
 
-type family
+type kernel
 
-val family_of : t array -> family option
-(** [family_of members] bundles the compiled forms when they share term
-    structure exactly (same rows, same order); [None] when they differ
-    or fewer than two members are given.  Coefficient ratios are
-    captured from the members' current (possibly rescaled) values. *)
+val kernel : program -> kernel
 
-val family_refresh : family -> unit
-(** Recompute the coefficient ratios from the members' current
-    coefficients — required after {!rescale} of any member. *)
+val barrier : kernel -> t:float -> Smart_linalg.Vec.t -> float
+(** [barrier k ~t y] is [t F_0(y) - sum_k log (-F_k(y))], or [infinity]
+    when some [F_k(y) >= 0] (or is not a number). *)
 
-val add_barrier_family :
-  scratch -> family -> Smart_linalg.Vec.t ->
-  Smart_linalg.Mat.t -> Smart_linalg.Vec.t -> phi:float ref -> float
-(** [add_barrier_family s fam y h g ~phi] accumulates every member's
-    log-barrier Hessian (lower triangle) and gradient into [h] and [g],
-    adds [sum_c -log(-F_c(y))] to [phi], and returns the worst (largest)
-    member value.  When that value is [>= 0] (some member infeasible)
-    nothing is written.  Allocation-free. *)
+val assemble :
+  kernel -> t:float -> Smart_linalg.Mat.t -> Smart_linalg.Vec.t -> unit
+(** [assemble k ~t h g] adds the barrier's Hessian (lower triangle only)
+    to [h] and its gradient to [g], at the point of the last {!barrier}
+    call, which must have been feasible.  The term part of the Hessian
+    is added once per basis row, with its weights summed over the
+    constraints; per constraint only the rank-one [(w^2 - w) g_k g_k^T]
+    update remains, [w = 1 / -F_k], and constraints with one support
+    (the corner copies of a constraint, at the least) share one sweep
+    over its lower triangle. *)
 
-val family_value_ws :
-  scratch -> family -> Smart_linalg.Vec.t -> phi:float ref -> float
-(** Line-search companion: adds the members' barrier values to [phi]
-    (only when all are feasible) and returns the worst member value.
-    Allocation-free. *)
+val evaluate : kernel -> Smart_linalg.Vec.t -> float
+(** Evaluate every constraint at [y] and return the largest value
+    ([neg_infinity] without constraints, [infinity] for a value that is
+    not a number).  [y] may be longer than {!dim}. *)
+
+val constraint_value : kernel -> int -> float
+(** [F_k] at the point of the last {!evaluate} (or feasible {!barrier}). *)

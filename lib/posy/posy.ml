@@ -1,7 +1,8 @@
 module Err = Smart_util.Err
 
-(* Invariant: the term list is non-empty, sorted by exponent vector, and
-   holds at most one monomial per distinct exponent vector. *)
+(* Invariant: the term list is non-empty, sorted by [Monomial.compare]
+   (coefficient first, then exponent vector), and holds at most one
+   monomial per distinct exponent vector. *)
 type t = Monomial.t list
 
 let merge terms =

@@ -22,7 +22,6 @@ type options = {
   gp_options : Solver.options;
   min_delay_hint : float option;
   gp_warm_start : bool;
-  gp_structure : bool;
   certify : bool;
   absint : bool;
 }
@@ -37,7 +36,6 @@ let default_options =
     gp_options = Solver.default_options;
     min_delay_hint = None;
     gp_warm_start = true;
-    gp_structure = true;
     certify = false;
     absint = true;
   }
@@ -67,7 +65,6 @@ type outcome = {
   gp_newton_iterations : int;
   gp_warm_rounds : int;
   gp_newton_per_round : int list;
-  gp_families : int;
   certified_rounds : int;
   sta_verifies : int;
   converged : bool;
@@ -226,10 +223,7 @@ let size_set ?(options = default_options) ?(mapper = sequential_mapper)
   let result = ref None in
   (* Compile the program once; every respecification round only patches
      the compiled budget coefficients and re-solves, warm-started. *)
-  let prepared =
-    Solver.prepare ~structure:options.gp_structure generated.Constraints.problem
-  in
-  let gp_families = (Solver.structure_stats prepared).Solver.families in
+  let prepared = Solver.prepare generated.Constraints.problem in
   let warm = ref None in
   (* Warm-start policy: hold one anchor snapshot while it keeps working,
      re-anchor only after a round that fell back to phase I.  Under the
@@ -431,7 +425,6 @@ let size_set ?(options = default_options) ?(mapper = sequential_mapper)
                gp_newton_iterations = !total_newton;
                gp_warm_rounds = !warm_rounds;
                gp_newton_per_round = List.rev !newton_per_round;
-               gp_families;
                certified_rounds = !certified;
                sta_verifies = !sta_runs;
                converged = true;
@@ -578,7 +571,6 @@ let timed span ~attrs ~outcome netlist spec f =
             Tracepoint.Str
               (String.concat "," (List.map string_of_int o.gp_newton_per_round)) );
           ("sta_verifies", Tracepoint.Int o.sta_verifies);
-          ("gp_families", Tracepoint.Int o.gp_families);
           ("achieved_ps", Tracepoint.Float o.achieved_delay);
         ]
       | Error e ->

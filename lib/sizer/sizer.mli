@@ -29,12 +29,6 @@ type options = {
           min-delay pre-solve), reusing one compiled program — the
           incremental hot path (default true).  Disable to force a cold
           compile-and-phase-I solve every round, e.g. for A/B timing. *)
-  gp_structure : bool;
-      (** bundle the scenario copies of a constraint in merged
-          multi-corner programs into families that share one exp pass
-          per Newton assembly (default true).  Disable for an unbundled
-          per-constraint reference solve, e.g. for A/B comparisons; the
-          Newton solve is the same dense Cholesky either way. *)
   certify : bool;
       (** validate every [Optimal] resolve with the independent
           {!Smart_gp.Certify} checker against a problem-space
@@ -73,9 +67,6 @@ type outcome = {
   gp_newton_per_round : int list;
       (** Newton iterations of each respecification round's GP solve, in
           round order (excludes the min-delay pre-solve) *)
-  gp_families : int;
-      (** constraint families the GP compile bundled (0 for single-corner
-          programs or when {!options.gp_structure} is off) *)
   certified_rounds : int;
       (** rounds whose solution passed the independent GP certificate
           check (0 unless {!options.certify}) *)

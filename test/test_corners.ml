@@ -267,42 +267,6 @@ let test_generate_projected_matches_per_corner () =
       projected
       (Corners.to_list set)
 
-(* The structured (bundled) solver path must hand the sizer the same
-   advice as the unbundled ("dense") reference on the 64-bit adder's
-   3-corner robust solve. *)
-let test_structured_advice_matches_dense () =
-  let nl = (Smart.Cla_adder.generate ~bits:64 ()).Smart.Macro.netlist in
-  let set = Corners.default_set () in
-  let slow_tech = (List.nth (Corners.to_list set) 2).Corners.tech in
-  match Sizer.minimize_delay_typed slow_tech nl (C.spec 1e6) with
-  | Error e -> Alcotest.fail ("slow min-delay: " ^ Smart.Error.to_string e)
-  | Ok md -> (
-    let spec = C.spec (1.25 *. md.Sizer.golden_min) in
-    let solve structure =
-      let options =
-        { Sizer.default_options with Sizer.gp_structure = structure }
-      in
-      match Sizer.size_robust_typed ~options set nl spec with
-      | Ok ro -> ro.Sizer.robust
-      | Error e -> Alcotest.fail (Smart.Error.to_string e)
-    in
-    let structured = solve true and dense = solve false in
-    checkb "structured path actually bundles" true
-      (structured.Sizer.gp_families > 0);
-    let max_rel = ref 0. in
-    List.iter2
-      (fun (l1, w1) (l2, w2) ->
-        Alcotest.(check string) "label order" l2 l1;
-        let rel = abs_float (w1 -. w2) /. Float.max 1e-12 (abs_float w2) in
-        if rel > !max_rel then max_rel := rel)
-      structured.Sizer.sizing dense.Sizer.sizing;
-    if !max_rel > 1e-6 then
-      Alcotest.failf "advice diverges: max rel width diff %.3e" !max_rel;
-    match (structured.Sizer.achieved_delay, dense.Sizer.achieved_delay) with
-    | a, b when abs_float (a -. b) > 1e-6 *. b ->
-      Alcotest.failf "achieved delay diverges: %.6f vs %.6f" a b
-    | _ -> ())
-
 (* Loop accounting: the counters a sizing reports must match the spans
    its loop emitted, for a single-technology sizing and a 3-corner one. *)
 
@@ -408,8 +372,6 @@ let () =
             test_projection_scales_heterogeneous;
           Alcotest.test_case "projected = per-corner generation" `Quick
             test_generate_projected_matches_per_corner;
-          Alcotest.test_case "structured advice = dense (64-bit)" `Slow
-            test_structured_advice_matches_dense;
         ] );
       ( "corners",
         [

@@ -5,9 +5,9 @@
    - every candidate of the benchmark's 12-template advise menu at each
      band's low, middle and high delay;
    - the 16-bit adder sized with a [min_delay_hint] at 1.1, 1.25 and 1.4x
-     its golden minimum;
-   - six fast/typ/slow corner-set sizings at 1.2-1.3x the slow-corner
-     minimum.
+     its golden minimum, and the 64-bit adder at 1.25x;
+   - seven fast/typ/slow corner-set sizings at 1.2-1.3x the slow-corner
+     minimum, the 64-bit adder among them.
 
    Every width must stay within 1e-6 relative of the snapshot and every
    case must keep its class.  Regenerate the snapshot only for an
@@ -67,18 +67,18 @@ let golden_min t nl =
   | Error e -> Alcotest.fail ("min-delay: " ^ Smart.Error.to_string e)
 
 let hint_cases () =
-  let nl = (Smart.Cla_adder.generate ~bits:16 ()).Smart.Macro.netlist in
   List.map
-    (fun k ->
-      ( Printf.sprintf "hint/adder16@%gx" k,
+    (fun (bits, k) ->
+      ( Printf.sprintf "hint/adder%d@%gx" bits k,
         fun () ->
+          let nl = (Smart.Cla_adder.generate ~bits ()).Smart.Macro.netlist in
           let md = golden_min tech nl in
           let options =
             { Sizer.default_options with Sizer.min_delay_hint = Some md.Sizer.model_min }
           in
           of_result
             (Sizer.size_typed ~options tech nl (C.spec (k *. md.Sizer.golden_min))) ))
-    [ 1.1; 1.25; 1.4 ]
+    [ (16, 1.1); (16, 1.25); (16, 1.4); (64, 1.25) ]
 
 let corner_cases () =
   let set = Corners.default_set () in
@@ -100,6 +100,7 @@ let corner_cases () =
       ("adder16", netlist (Smart.Cla_adder.generate ~bits:16 ()), 1.25);
       ("zero-detect16", netlist (Smart.Zero_detect.generate ~bits:16 ()), 1.3);
       ("incrementor16", netlist (Smart.Incrementor.generate ~bits:16 ()), 1.2);
+      ("adder64", netlist (Smart.Cla_adder.generate ~bits:64 ()), 1.25);
     ]
 
 let cases () = menu_cases () @ hint_cases () @ corner_cases ()

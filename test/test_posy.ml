@@ -229,6 +229,153 @@ let prop_logspace_hessian_psd_lower =
       && !quad >= -1e-9
       && List.for_all (fun i -> Mat.get h i i >= -1e-9) [ 0; 1; 2 ])
 
+(* ---------------- the compiled kernel vs the per-term reference ---------------- *)
+
+(* A random program over four variables whose terms draw on a pool of six
+   exponent rows, so constraints share rows; some constraints are
+   "corner copies" of another (same rows, scaled coefficients).  Rows 0
+   and 1 rise in [v0] with exponent at least 1 and the first constraint
+   uses only them; [v3] appears only in the objective.  Exponents stay
+   below 2 in magnitude. *)
+let random_program rng =
+  let exponent () = float_of_int (Rng.int rng 4 - 2) +. Rng.uniform rng 0.1 0.9 in
+  let pool =
+    Array.init 6 (fun r ->
+        List.filter_map
+          (fun v ->
+            if v = "v0" && r < 2 then Some (v, Rng.uniform rng 1. 1.9)
+            else if Rng.bool rng then Some (v, exponent ())
+            else None)
+          [ "v0"; "v1"; "v2" ])
+  in
+  let posy rows =
+    P.of_monomials (List.map (fun r -> M.make (Rng.uniform rng 0.1 5.) pool.(r)) rows)
+  in
+  let pick () = List.sort_uniq compare (List.init (1 + Rng.int rng 4) (fun _ -> Rng.int rng 6)) in
+  let objective =
+    P.add (P.of_monomial (M.make (Rng.uniform rng 0.5 2.) [ ("v3", 1.) ])) (posy (pick ()))
+  in
+  let base = posy [ 0; 1 ] :: List.init (1 + Rng.int rng 4) (fun _ -> posy (pick ())) in
+  let copies =
+    List.concat_map
+      (fun p -> if Rng.bool rng then [ P.scale (Rng.uniform rng 0.3 3.) p ] else [])
+      base
+  in
+  (objective, Array.of_list (base @ copies))
+
+(* Barrier value, gradient and lower-triangle Hessian summed term by term
+   from [value_grad] / [add_weighted_hessian]; [None] when a constraint
+   is violated. *)
+let reference idx ~t objective cons y =
+  let n = L.index_size idx in
+  let h = Mat.create n n and g = Vec.create n in
+  let f0 = L.compile idx objective in
+  let v0, g0 = L.add_weighted_hessian f0 y t h in
+  Vec.axpy t g0 g;
+  let phi = ref (t *. v0) and feasible = ref true in
+  Array.iter
+    (fun p ->
+      let f = L.compile idx p in
+      let v = L.value f y in
+      if v >= 0. then feasible := false
+      else begin
+        let w = 1. /. -.v in
+        let _, gk = L.add_weighted_hessian f y w h in
+        Vec.axpy w gk g;
+        phi := !phi -. log (-.v);
+        for a = 0 to n - 1 do
+          for b = 0 to a do
+            Mat.add_to h a b (w *. w *. gk.(a) *. gk.(b))
+          done
+        done
+      end)
+    cons;
+  if !feasible then Some (!phi, g, h) else None
+
+(* Largest difference relative to the reference's largest magnitude (at
+   least 1). *)
+let rel_diff got want =
+  let num = ref 0. and den = ref 1. in
+  Array.iteri
+    (fun i x ->
+      num := Float.max !num (Float.abs (x -. want.(i)));
+      den := Float.max !den (Float.abs want.(i)))
+    got;
+  !num /. !den
+
+(* The kernel on [prog] at [y] against the reference on the posynomials
+   it compiles: infeasible on both sides, or equal within 1e-10. *)
+let kernel_matches idx prog ~t objective cons y =
+  let kn = L.kernel prog in
+  let phi = L.barrier kn ~t y in
+  match reference idx ~t objective cons y with
+  | None -> phi = infinity
+  | Some (phi_ref, g_ref, h_ref) ->
+    let n = L.index_size idx in
+    let h = Mat.create n n and g = Vec.create n in
+    L.assemble kn ~t h g;
+    let worst = Array.fold_left (fun acc p -> Float.max acc (L.value (L.compile idx p) y)) neg_infinity cons in
+    rel_diff [| phi |] [| phi_ref |] <= 1e-10
+    && rel_diff g g_ref <= 1e-10
+    && rel_diff (Mat.data h) (Mat.data h_ref) <= 1e-10
+    && Float.abs (L.evaluate kn y -. worst) <= 1e-10 *. Float.max 1. (Float.abs worst)
+
+(* Points of three kinds: ordinary; [v3] at ~700, whose objective row
+   forces the overflow shift and sends every constraint sum below the
+   safe range (the per-constraint fallback); and [v0] at -250, which
+   underflows rows 0 and 1, and so the first constraint's sum, without
+   any shift.  Budgets are
+   rescaled so each constraint sits at a random margin below its limit —
+   one above it for an infeasible case.  The relaxed phase-I program is
+   checked at the same point with a slack above (or below) the worst
+   constraint. *)
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~name:"kernel = per-term reference (plain, phase I)" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let objective, cons = random_program rng in
+      let names = [ "v0"; "v1"; "v2"; "v3" ] in
+      let idx = L.index_of_vars names in
+      let y = Vec.init 4 (fun _ -> Rng.uniform rng (-1.) 1.) in
+      (match Rng.int rng 3 with
+      | 0 -> y.(3) <- Rng.uniform rng 650. 750.
+      | 1 -> y.(0) <- Rng.uniform rng (-260.) (-240.)
+      | _ -> ());
+      let infeasible = Rng.int rng 5 = 0 in
+      let bad = Rng.int rng (Array.length cons) in
+      let scales =
+        Array.mapi
+          (fun k p ->
+            let margin =
+              if infeasible && k = bad then -.Rng.uniform rng 0.01 1.
+              else Rng.uniform rng 0.05 3.
+            in
+            exp (-.(L.value (L.compile idx p) y +. margin)))
+          cons
+      in
+      let scaled = Array.mapi (fun k p -> P.scale scales.(k) p) cons in
+      let prog = L.program idx ~objective cons in
+      (* A first random rescale, then the absolute one the check uses. *)
+      Array.iteri (fun k _ -> L.rescale prog k (Rng.uniform rng 0.5 2.)) cons;
+      Array.iteri (fun k s -> L.rescale prog k s) scales;
+      let t = Rng.uniform rng 0.1 100. in
+      let plain = kernel_matches idx prog ~t objective scaled y in
+      (* Phase I: f_k / s <= 1 for a slack s, objective s, 1e-9 <= s <= 1e12. *)
+      let lo = 1e-9 and hi = 1e12 in
+      let idx1 = L.index_of_vars (names @ [ "s" ]) in
+      let inv_s = M.make 1. [ ("s", -1.) ] in
+      let cons1 =
+        Array.append
+          (Array.map (fun p -> P.mul_monomial p inv_s) scaled)
+          [| P.of_monomial (M.make lo [ ("s", -1.) ]); P.of_monomial (M.make (1. /. hi) [ ("s", 1.) ]) |]
+      in
+      let worst = Array.fold_left (fun acc p -> Float.max acc (L.value (L.compile idx p) y)) neg_infinity scaled in
+      let y1 = Vec.init 5 (fun i -> if i < 4 then y.(i) else 0.) in
+      y1.(4) <- (worst +. if Rng.int rng 5 = 0 then -.Rng.uniform rng 0.01 1. else Rng.uniform rng 0.05 2.);
+      let relaxed = kernel_matches idx1 (L.relax prog ~lo ~hi) ~t (P.var "s") cons1 y1 in
+      plain && relaxed)
+
 let () =
   Alcotest.run "smart_posy"
     [
@@ -262,5 +409,6 @@ let () =
             prop_logspace_value;
             prop_logspace_gradient_fd;
             prop_logspace_hessian_psd_lower;
+            prop_kernel_matches_reference;
           ] );
     ]
