@@ -16,14 +16,10 @@ let all_experiments =
     ("fig7", "Figure 7: comparator topology exploration");
     ("table2", "Table 2 and §6.4: functional blocks");
     ("paths", "§5.2: path-space reduction");
-    ("gp", "GP solver: warm-started hot path (BENCH_gp.json)");
-    ("engine", "Engine: parallel evaluation + solve cache (BENCH_engine.json)");
     ("corners", "Smart_corners: robust multi-corner sizing (BENCH_corners.json)");
-    ("sparse", "Structured GP: the merged program on the monomial basis (BENCH_sparse.json)");
     ("hier", "Smart_hier: regularity + partitioned GP (BENCH_hier.json)");
     ("absint", "Smart_absint: interval proofs + presolve (BENCH_absint.json)");
     ("egraph", "Smart_rewrite: e-graph saturation + gauntlet (BENCH_egraph.json)");
-    ("serve", "Serve: daemon latency + persistent cache (BENCH_serve.json)");
     ("ablate", "Design-choice ablations");
     ("micro", "Bechamel micro-benchmarks");
   ]
@@ -35,85 +31,34 @@ let run_one ~fast = function
   | "fig7" -> Exp_fig7.run ~fast ()
   | "table2" -> Exp_table2.run ~fast ()
   | "paths" -> Exp_paths.run ~fast ()
-  | "gp" -> Exp_gp.run ~fast ()
-  | "engine" -> Exp_engine.run ~fast ()
   | "corners" -> Exp_corners.run ~fast ()
-  | "sparse" -> ignore (Exp_sparse.run ~fast () : bool)
   | "hier" -> ignore (Exp_hier.run ~fast () : bool)
   | "absint" -> ignore (Exp_absint.run ~fast () : bool)
   | "egraph" -> ignore (Exp_egraph.run ~fast () : bool)
-  | "serve" -> Exp_serve.run ~fast ()
   | "ablate" -> Exp_ablate.run ~fast ()
   | "micro" -> if not fast then Micro.run ()
   | other ->
     Printf.printf "unknown experiment %s; known: %s\n" other
       (String.concat ", " (List.map fst all_experiments))
 
-(* Smoke mode (dune build @bench-smoke): run the two JSON-emitting
-   experiments at reduced size and fail loudly if either artifact is
-   missing a field — keeps the perf-trajectory schema honest in CI. *)
-let smoke () =
-  Exp_gp.run ~fast:true ();
-  Exp_engine.run ~fast:true ();
-  let ok =
-    Runner.json_has_fields ~file:"BENCH_gp.json"
-      [
-        "wall_cold"; "wall_warm"; "speedup"; "newton_cold"; "newton_warm";
-        "alloc_words_cold"; "alloc_words_warm"; "rounds"; "warm_rounds";
-        "sizer_delay_cold_ps"; "sizer_delay_warm_ps";
-      ]
-    && Runner.json_has_fields ~file:"BENCH_engine.json"
-         [ "wall_seq"; "wall_par"; "speedup"; "cache_hit_rate"; "workers" ]
-  in
-  Printf.printf "\nbench smoke: %s\n" (if ok then "OK" else "FAILED");
-  exit (if ok then 0 else 1)
-
-(* Serve smoke (dune build @serve-smoke, pulled into @bench-smoke): the
-   daemon experiment at reduced size plus its artifact schema check. *)
-let smoke_serve () =
-  Exp_serve.run ~fast:true ();
-  let ok =
-    Runner.json_has_fields ~file:"BENCH_serve.json"
-      [
-        "latency_cold_ms"; "latency_disk_ms"; "latency_memory_ms";
-        "rps_1w"; "rps_4w"; "restart_hit_rate"; "workers";
-      ]
-  in
-  Printf.printf "\nserve smoke: %s\n" (if ok then "OK" else "FAILED");
+(* Smoke mode: one experiment at reduced size.  [sound] is the
+   experiment's own functional verdict; its artifact must also carry
+   every expected field.  Exits with the combined verdict. *)
+let smoke ~name ~file fields sound =
+  let ok = sound && Runner.json_has_fields ~file fields in
+  Printf.printf "\n%s: %s\n" name (if ok then "OK" else "FAILED");
   exit (if ok then 0 else 1)
 
 (* Corner smoke (dune build @corner-smoke, pulled into @bench-smoke): the
    corners experiment at reduced size plus its artifact schema check. *)
 let smoke_corners () =
   Exp_corners.run ~fast:true ();
-  let ok =
-    Runner.json_has_fields ~file:"BENCH_corners.json"
-      [
-        "width_typ"; "width_robust"; "width_overhead"; "worst_corner_slack_ps";
-        "wall_verify_seq"; "wall_verify_par"; "verify_speedup"; "workers";
-      ]
-  in
-  Printf.printf "\ncorner smoke: %s\n" (if ok then "OK" else "FAILED");
-  exit (if ok then 0 else 1)
-
-(* Sparse smoke (dune build @sparse-smoke, pulled into @bench-smoke): the
-   structured-GP experiment at reduced size.  Fails when the corner
-   copies stop sharing the typ-only basis rows or the compiled kernel
-   departs from the per-term reference — not just when the artifact is
-   malformed. *)
-let smoke_sparse () =
-  let engaged = Exp_sparse.run ~fast:true () in
-  let ok =
-    engaged
-    && Runner.json_has_fields ~file:"BENCH_sparse.json"
-         [
-           "scenarios"; "families"; "bundled_constraints"; "rows"; "terms";
-           "kernel_max_rel_diff"; "wall_typ"; "wall_block"; "robust_typ_ratio";
-           "newton_block"; "workers";
-         ]
-  in
-  Printf.printf "\nsparse smoke: %s\n" (if ok then "OK" else "FAILED");
-  exit (if ok then 0 else 1)
+  smoke ~name:"corner smoke" ~file:"BENCH_corners.json"
+    [
+      "width_typ"; "width_robust"; "width_overhead"; "worst_corner_slack_ps";
+      "wall_verify_seq"; "wall_verify_par"; "verify_speedup"; "workers";
+    ]
+    true
 
 (* Hier smoke (dune build @hier-smoke, pulled into @bench-smoke): the
    hierarchical experiment at reduced size.  Fails when the pool ended up
@@ -121,19 +66,13 @@ let smoke_sparse () =
    found nothing to dedup, or when the hierarchical advice diverged from
    the monolithic reference — not just when the artifact is malformed. *)
 let smoke_hier () =
-  let sound = Exp_hier.run ~fast:true () in
-  let ok =
-    sound
-    && Runner.json_has_fields ~file:"BENCH_hier.json"
-         [
-           "gates"; "components"; "classes"; "dedup_ratio"; "partitions";
-           "cut_nets"; "boundary_iterations"; "solves"; "wall_mono";
-           "wall_hier"; "speedup"; "workers"; "advice_rel_diff";
-           "width_mono"; "width_hier";
-         ]
-  in
-  Printf.printf "\nhier smoke: %s\n" (if ok then "OK" else "FAILED");
-  exit (if ok then 0 else 1)
+  smoke ~name:"hier smoke" ~file:"BENCH_hier.json"
+    [
+      "gates"; "components"; "classes"; "dedup_ratio"; "partitions";
+      "cut_nets"; "boundary_iterations"; "solves"; "wall_mono"; "wall_hier";
+      "speedup"; "workers"; "advice_rel_diff"; "width_mono"; "width_hier";
+    ]
+    (Exp_hier.run ~fast:true ())
 
 (* Absint gauntlet (dune build @absint-gauntlet, pulled into
    @bench-smoke): the static-analysis experiment at reduced size.  Fails
@@ -142,19 +81,14 @@ let smoke_hier () =
    less than 50x faster than the gate-off rejection — not just when the
    artifact is malformed. *)
 let smoke_absint () =
-  let sound = Exp_absint.run ~fast:true () in
-  let ok =
-    sound
-    && Runner.json_has_fields ~file:"BENCH_absint.json"
-         [
-           "gauntlet_seeds"; "gauntlet_violations"; "constraints_dropped_pct";
-           "bound_tightening_pct"; "advice_max_rel_diff"; "wall_analysis";
-           "wall_full_solve"; "wall_reduced_solve"; "presolve_wall_saved_pct";
-           "fastfail_ms"; "full_reject_ms"; "fastfail_speedup";
-         ]
-  in
-  Printf.printf "\nabsint gauntlet: %s\n" (if ok then "OK" else "FAILED");
-  exit (if ok then 0 else 1)
+  smoke ~name:"absint gauntlet" ~file:"BENCH_absint.json"
+    [
+      "gauntlet_seeds"; "gauntlet_violations"; "constraints_dropped_pct";
+      "bound_tightening_pct"; "advice_max_rel_diff"; "wall_analysis";
+      "wall_full_solve"; "wall_reduced_solve"; "presolve_wall_saved_pct";
+      "fastfail_ms"; "full_reject_ms"; "fastfail_speedup";
+    ]
+    (Exp_absint.run ~fast:true ())
 
 (* E-graph smoke (dune build @egraph-smoke, pulled into @bench-smoke):
    the rewrite experiment at reduced size.  Fails when extraction cannot
@@ -162,28 +96,20 @@ let smoke_absint () =
    gauntlet reports any equivalence/lint/oracle finding or extracts
    fewer than 200 candidates, or when BENCH_egraph.json drops a field. *)
 let smoke_egraph () =
-  let sound = Exp_egraph.run ~fast:true () in
-  let ok =
-    sound
-    && Runner.json_has_fields ~file:"BENCH_egraph.json"
-         [
-           "saturation_wall"; "enodes"; "eclasses"; "saturated";
-           "chain_menu_best"; "chain_rewrite_best"; "mux_menu_best";
-           "mux_rewrite_best"; "gauntlet_seeds"; "gauntlet_candidates";
-           "gauntlet_oracle_findings"; "gauntlet_lint_errors";
-           "gauntlet_equiv_failures"; "gauntlet_wall"; "workers";
-         ]
-  in
-  Printf.printf "\negraph smoke: %s\n" (if ok then "OK" else "FAILED");
-  exit (if ok then 0 else 1)
+  smoke ~name:"egraph smoke" ~file:"BENCH_egraph.json"
+    [
+      "saturation_wall"; "enodes"; "eclasses"; "saturated"; "chain_menu_best";
+      "chain_rewrite_best"; "mux_menu_best"; "mux_rewrite_best";
+      "gauntlet_seeds"; "gauntlet_candidates"; "gauntlet_oracle_findings";
+      "gauntlet_lint_errors"; "gauntlet_equiv_failures"; "gauntlet_wall";
+      "workers";
+    ]
+    (Exp_egraph.run ~fast:true ())
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  if List.mem "--smoke" args then smoke ();
   if List.mem "--smoke-egraph" args then smoke_egraph ();
-  if List.mem "--smoke-serve" args then smoke_serve ();
   if List.mem "--smoke-corners" args then smoke_corners ();
-  if List.mem "--smoke-sparse" args then smoke_sparse ();
   if List.mem "--smoke-hier" args then smoke_hier ();
   if List.mem "--smoke-absint" args then smoke_absint ();
   let fast = List.mem "--fast" args in

@@ -185,22 +185,18 @@ let generate_projected ?(reductions = Paths.all_reductions)
     go [] s scales
 
 let generate_robust ?(reductions = Paths.all_reductions)
-    ?(objective = Constraints.Area) ?map (s : set) netlist spec =
+    ?(objective = Constraints.Area) (s : set) netlist spec =
   (* Fast path: one nominal generation projected per corner (uniform
      RC-scaled sets — the common case).  Otherwise the corners generate
-     independently; that is embarrassingly parallel (same netlist, one
-     tech per corner) and dominates the robust wall, so [map] lets the
-     caller fan the corners across a worker pool. *)
+     independently. *)
   match generate_projected ~reductions ~objective s netlist spec with
   | Some per_corner -> merge_generated per_corner
   | None ->
-    let gen c =
-      Constraints.generate ~reductions ~objective c.tech netlist spec
-    in
-    let results =
-      match map with None -> List.map gen s | Some m -> m gen s
-    in
-    merge_generated (List.combine s results)
+    merge_generated
+      (List.map
+         (fun c ->
+           (c, Constraints.generate ~reductions ~objective c.tech netlist spec))
+         s)
 
 let rescale_factors ~timing ~precharge name =
   if Array.length timing = 1 then

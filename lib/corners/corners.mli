@@ -80,7 +80,6 @@ type merged = {
 val generate_robust :
   ?reductions:Smart_paths.Paths.reductions ->
   ?objective:Constraints.objective ->
-  ?map:((corner -> Constraints.result) -> corner list -> Constraints.result list) ->
   set ->
   Smart_circuit.Netlist.t ->
   Constraints.spec ->
@@ -91,9 +90,7 @@ val generate_robust :
     generation runs {e once} at the nominal tech and is projected per
     corner ({!Smart_constraints.Constraints.project}) — the corners share
     all structural work and the robust generation wall collapses to one
-    corner's.  Otherwise per-corner generation is independent and [map]
-    (default [List.map]) lets a caller with a worker pool run the corners
-    concurrently — it must preserve order and length. *)
+    corner's.  Otherwise each corner generates on its own. *)
 
 val projection_scales : set -> float list option
 (** [Some scales] (one per corner, set order) when every corner's tech is

@@ -1,5 +1,6 @@
 module Err = Smart_util.Err
 module Tracepoint = Smart_util.Tracepoint
+module Json = Smart_util.Json
 module Tech = Smart_tech.Tech
 module Netlist = Smart_circuit.Netlist
 module Constraints = Smart_constraints.Constraints
@@ -97,30 +98,13 @@ module Trace = struct
               (fun (k, v) -> k ^ "=" ^ Tracepoint.value_to_string v)
               e.Tracepoint.attrs))
 
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let json_fields fields =
     "{"
     ^ String.concat ","
-        (List.map
-           (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) v)
-           fields)
+        (List.map (fun (k, v) -> Json.quote k ^ ":" ^ v) fields)
     ^ "}"
 
-  let jstr s = "\"" ^ json_escape s ^ "\""
+  let jstr = Json.quote
   let jfloat f = Printf.sprintf "%.6g" f
   let jbool b = if b then "true" else "false"
 

@@ -10,24 +10,16 @@ let src = Logs.Src.create "smart.gp" ~doc:"SMART geometric program solver"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type options = {
-  eps : float;
-  mu : float;
-  t0 : float;
-  newton_tol : float;
-  max_newton : int;
-  max_centering : int;
-}
-
-let default_options =
-  {
-    eps = 1e-7;
-    mu = 20.;
-    t0 = 1.;
-    newton_tol = 1e-8;
-    max_newton = 250;
-    max_centering = 60;
-  }
+(* Barrier method constants: the duality-gap bound [m/t] the loop drives
+   below [gap_eps], the barrier growth factor [mu] per centering, the
+   initial barrier parameter [t_init], the Newton decrement^2/2
+   tolerance, and the inner (per centering) and outer iteration caps. *)
+let gap_eps = 1e-7
+let mu = 20.
+let t_init = 1.
+let newton_tol = 1e-8
+let max_newton = 250
+let max_centering = 60
 
 type status = Optimal | Infeasible | Iteration_limit
 
@@ -218,7 +210,7 @@ let warm_margin = 1e-9
    central path at the larger t from a barely different point. *)
 let stall_limit = 8
 
-let newton_center opts ws t y =
+let newton_center ws t y =
   let n = Vec.dim ws.g in
   let iters = ref 0 in
   let converged = ref false in
@@ -230,7 +222,7 @@ let newton_center opts ws t y =
   let phi0 = ref (Logspace.barrier ws.kern ~t y) in
   if not (!phi0 < infinity) then Err.fail "Gp.Solver: lost feasibility during Newton";
   (try
-     for _ = 1 to opts.max_newton do
+     for _ = 1 to max_newton do
        incr iters;
        Mat.fill ws.h 0.;
        Array.fill ws.g 0 n 0.;
@@ -238,7 +230,7 @@ let newton_center opts ws t y =
        Mat.solve_spd_ridge_into ~hint:ws.ridge ~work:ws.chol ~tmp:ws.tmp ws.h
          ws.g ws.d;
        let lambda2 = Vec.dot ws.g ws.d in
-       if lambda2 /. 2. < opts.newton_tol then begin
+       if lambda2 /. 2. < newton_tol then begin
          converged := true;
          raise Exit
        end;
@@ -277,7 +269,7 @@ let newton_center opts ws t y =
          converged := true;
          raise Exit
        end;
-       if !decrease < opts.newton_tol then begin
+       if !decrease < newton_tol then begin
          incr stalled;
          if !stalled >= stall_limit then begin
            converged := true;
@@ -297,7 +289,7 @@ let newton_center opts ws t y =
 
    Besides the final iterate the loop records a restart snapshot: the
    last central-path point whose gap [m/t] is still >= 1e-2.  The final
-   iterate hugs the active constraints (slack ~ eps), which makes it
+   iterate hugs the active constraints (slack ~ gap_eps), which makes it
    useless as a warm start — its first barrier Hessian is beyond any
    regularisation — whereas the mid-path point keeps real margin
    (active slacks ~ gap/m) and survives the budget relaxations between
@@ -306,7 +298,7 @@ let newton_center opts ws t y =
    the implied larger t crawls along the boundary. *)
 let snap_gap = 1e-2
 
-let barrier opts ws ~t0 y ?(stop_when = fun _ -> false) () =
+let barrier ws ~t0 y ?(stop_when = fun _ -> false) () =
   let m = ws.m in
   let n = Vec.dim ws.g in
   let t = ref t0 in
@@ -318,8 +310,8 @@ let barrier opts ws ~t0 y ?(stop_when = fun _ -> false) () =
   let snap_t = ref t0 in
   let have_snap = ref false in
   (try
-     while float_of_int m /. !t >= opts.eps || !centerings = 0 do
-       let iters, _ = newton_center opts ws !t y in
+     while float_of_int m /. !t >= gap_eps || !centerings = 0 do
+       let iters, _ = newton_center ws !t y in
        t_last := !t;
        total := !total + iters;
        incr centerings;
@@ -329,11 +321,11 @@ let barrier opts ws ~t0 y ?(stop_when = fun _ -> false) () =
          have_snap := true
        end;
        if stop_when y then raise Exit;
-       if !centerings >= opts.max_centering then begin
+       if !centerings >= max_centering then begin
          limit := true;
          raise Exit
        end;
-       t := !t *. opts.mu
+       t := !t *. mu
      done
    with Exit -> ());
   (!t_last, !total, !centerings, !limit, { w_y = snap_y; w_t = !snap_t })
@@ -348,7 +340,7 @@ let barrier opts ws ~t0 y ?(stop_when = fun _ -> false) () =
    column, so every original row keeps its place and the current
    (rescaled) coefficients carry over.  Fails (None) when the optimum S
    cannot be driven below 1. *)
-let phase1 opts ws c y_init =
+let phase1 ws c y_init =
   let worst = Logspace.evaluate ws.kern y_init in
   if worst < 0. then Some (Vec.copy y_init, 0, 0)
   else begin
@@ -371,7 +363,7 @@ let phase1 opts ws c y_init =
        the violated few. *)
     let stop_when y1 = Logspace.evaluate ws.kern y1 < -1e-6 in
     let _, total, centerings, _, _ =
-      barrier opts ws1 ~t0:opts.t0 y1 ~stop_when ()
+      barrier ws1 ~t0:t_init y1 ~stop_when ()
     in
     let y = Vec.init n (fun i -> y1.(i)) in
     if Logspace.evaluate ws.kern y < 0. then Some (y, total, centerings) else None
@@ -462,7 +454,7 @@ let final_solution p ws c y t_final ~newton ~centerings ~limit ~warm_started
     restart = Some restart;
   }
 
-let resolve_impl ?(options = default_options) ?warm p =
+let resolve_impl ?warm p =
   match (p.c, p.ws) with
   | None, _ | _, None -> determined_solution p
   | Some c, Some ws -> (
@@ -479,9 +471,9 @@ let resolve_impl ?(options = default_options) ?warm p =
          there to the gap bound are the cheap, well-conditioned ones. *)
       let w = Option.get warm in
       Array.blit w.w_y 0 ws.ybuf 0 n;
-      let t0 = Float.max options.t0 w.w_t in
+      let t0 = Float.max t_init w.w_t in
       let t_final, it, ct, limit, restart =
-        barrier options ws ~t0 ws.ybuf ()
+        barrier ws ~t0 ws.ybuf ()
       in
       final_solution p ws c ws.ybuf t_final ~newton:it ~centerings:ct ~limit
         ~warm_started:true ~restart
@@ -498,12 +490,12 @@ let resolve_impl ?(options = default_options) ?warm p =
         | Some w when Vec.dim w.w_y = n -> w.w_y
         | _ -> initial_point p.reduced c.idx
       in
-      match phase1 options ws c y_init with
+      match phase1 ws c y_init with
       | None -> infeasible_solution ~newton:0 ~centerings:0 ~warm_started:false
       | Some (y_feas, it1, ct1) ->
         Array.blit y_feas 0 ws.ybuf 0 n;
         let t_final, it2, ct2, limit, restart =
-          barrier options ws ~t0:options.t0 ws.ybuf ()
+          barrier ws ~t0:t_init ws.ybuf ()
         in
         final_solution p ws c ws.ybuf t_final ~newton:(it1 + it2)
           ~centerings:(ct1 + ct2) ~limit ~warm_started:false ~restart
@@ -522,17 +514,17 @@ let solve_attrs = function
 let size_attrs st =
   [ ("rows", Tracepoint.Int st.rows); ("terms", Tracepoint.Int st.terms) ]
 
-let resolve ?options ?warm p =
+let resolve ?warm p =
   Tracepoint.timed "gp.solve"
     ~attrs:(fun r -> size_attrs p.stats @ solve_attrs r)
-    (fun () -> Ok (resolve_impl ?options ?warm p))
+    (fun () -> Ok (resolve_impl ?warm p))
 
-let solve ?options problem =
+let solve problem =
   Tracepoint.timed "gp.solve"
     ~attrs:(fun (st, r) -> size_attrs st @ solve_attrs r)
     (fun () ->
       let p = prepare problem in
-      (p.stats, Ok (resolve_impl ?options p)))
+      (p.stats, Ok (resolve_impl p)))
   |> snd
 
 let warm_handle s = s.restart
@@ -549,7 +541,7 @@ let warm_of_values p values =
       | Some x when x > 0. -> y.(i) <- log x
       | _ -> ok := false
     done;
-    if !ok then Some { w_y = y; w_t = default_options.t0 } else None
+    if !ok then Some { w_y = y; w_t = t_init } else None
 
 let lookup sol v =
   match List.assoc_opt v sol.values with

@@ -6,7 +6,10 @@
     iterations with backtracking line search, barrier parameter increased
     geometrically until the duality gap bound [m/t] is below tolerance.
     A phase-I problem (minimise a slack scale [S] with [f_k(x) <= S])
-    produces the strictly feasible start.
+    produces the strictly feasible start.  The method's constants are
+    fixed: gap bound 1e-7, barrier growth 20 per centering from an
+    initial parameter of 1, Newton decrement tolerance 1e-8, at most 250
+    Newton steps per centering and 60 centerings.
 
     {2 Incremental hot path}
 
@@ -24,17 +27,6 @@
     allocate nothing per Newton iteration.  A [prepared] problem owns
     mutable state (compiled coefficients, workspace) — do not share one
     across domains. *)
-
-type options = {
-  eps : float;  (** target duality-gap bound (default 1e-7) *)
-  mu : float;  (** barrier growth factor (default 20) *)
-  t0 : float;  (** initial barrier parameter (default 1) *)
-  newton_tol : float;  (** Newton decrement^2/2 tolerance (default 1e-8) *)
-  max_newton : int;  (** inner iteration cap per centering (default 250) *)
-  max_centering : int;  (** outer iteration cap (default 60) *)
-}
-
-val default_options : options
 
 type status =
   | Optimal
@@ -95,8 +87,7 @@ val rescale_compiled : prepared -> (string -> float) -> unit
     {!Smart_constraints.Constraints.rescale} semantics when fed
     {!Smart_constraints.Constraints.rescale_factors}. *)
 
-val resolve :
-  ?options:options -> ?warm:warm_start -> prepared -> (solution, string) result
+val resolve : ?warm:warm_start -> prepared -> (solution, string) result
 (** Solve the prepared (possibly rescaled) problem.  With [warm]: if the
     point is strictly feasible with margin, phase I is skipped and the
     barrier resumes at the snapshot's own parameter; otherwise the point
@@ -111,7 +102,7 @@ val warm_of_values : prepared -> (string * float) list -> warm_start option
     related problem's solution).  [None] when any compiled variable is
     missing or non-positive — fall back to a cold resolve. *)
 
-val solve : ?options:options -> Problem.t -> (solution, string) result
+val solve : Problem.t -> (solution, string) result
 (** [prepare] + cold [resolve], under one ["gp.solve"] tracepoint (its
     time includes the compile).  [Error] is reserved for malformed
     problems (empty variable set, unbounded by construction); solver

@@ -16,26 +16,22 @@ module Absint = Smart_absint.Absint
 
 type mode = [ `Auto | `Off | `Force ]
 
-type options = {
-  min_class_size : int;
-  min_class_gates : int;
-  max_partition : int;
-  max_outer : int;
-  boundary_quantum : float;
-  auto_threshold : int;
-  sizer : Sizer.options;
-}
+type options = { auto_threshold : int; sizer : Sizer.options }
 
-let default_options =
-  {
-    min_class_size = 2;
-    min_class_gates = 3;
-    max_partition = 48;
-    max_outer = 12;
-    boundary_quantum = 0.05;
-    auto_threshold = 300;
-    sizer = Sizer.default_options;
-  }
+let default_options = { auto_threshold = 300; sizer = Sizer.default_options }
+
+(* Decomposition and boundary constants.  A structural class dedups once
+   it has [min_class_size] members of at least [min_class_gates] gates
+   each; smaller components go to the residual partitioner, which cuts
+   at most [max_partition] gates per partition.  The boundary fixed
+   point runs at most [max_outer] iterations, and boundary loads, slopes
+   and budgets are quantized into logarithmic buckets of relative width
+   [boundary_quantum]. *)
+let min_class_size = 2
+let min_class_gates = 3
+let max_partition = 48
+let max_outer = 12
+let boundary_quantum = 0.05
 
 type plan = {
   total_instances : int;
@@ -503,7 +499,7 @@ type decomposition = {
   d_cut : Netlist.net_id list;  (* driven nets crossing a unit boundary *)
 }
 
-let decompose ctx options =
+let decompose ctx =
   let comps = components ctx.nl in
   let comp_units =
     List.map
@@ -529,8 +525,7 @@ let decompose ctx options =
   let dedup_classes, residual_classes =
     List.partition
       (fun cls ->
-        List.length cls >= options.min_class_size
-        && (List.hd cls).u_gates >= options.min_class_gates)
+        List.length cls >= min_class_size && (List.hd cls).u_gates >= min_class_gates)
       classes
   in
   let dedup_units = List.concat dedup_classes in
@@ -549,7 +544,7 @@ let decompose ctx options =
         (ids, u.u_gates, (if level = max_int then 0 else level), nets))
       residual_units
   in
-  let partitions = fm_split residual_nodes options.max_partition in
+  let partitions = fm_split residual_nodes max_partition in
   let partition_units =
     List.mapi
       (fun k nodes ->
@@ -592,9 +587,9 @@ let decompose ctx options =
   in
   { d_units = units; d_plan = plan; d_cut = cut }
 
-let plan ?(options = default_options) nl =
+let plan nl =
   (* The technology never affects the decomposition; use the default. *)
-  (decompose (prep Tech.default nl) options).d_plan
+  (decompose (prep Tech.default nl)).d_plan
 
 (* ------------------------------------------------------------------ *)
 (* Boundary conditions and per-iteration tasks                         *)
@@ -691,9 +686,9 @@ type task = {
   t_key : string;  (* structure digest ^ boundary digest *)
 }
 
-let make_tasks ctx options (spec : Constraints.spec) units ~sizing
+let make_tasks ctx (spec : Constraints.spec) units ~sizing
     ~(sta : Sta.t) ~anchors ~factor =
-  let q = qlog options.boundary_quantum in
+  let q = qlog boundary_quantum in
   let slope_floor =
     match spec.Constraints.input_slope with
     | Some s -> s
@@ -724,7 +719,7 @@ let make_tasks ctx options (spec : Constraints.spec) units ~sizing
      the endgame's landing resolution at several percent of the target —
      the final relax/tighten nudges would vanish into one bucket.  Caps
      and slopes stay coarse; they only need to stabilize the dedup keys. *)
-  let qb = qlog (options.boundary_quantum /. 8.) in
+  let qb = qlog (boundary_quantum /. 8.) in
   List.map
     (fun u ->
       let qcaps =
@@ -760,11 +755,6 @@ let make_tasks ctx options (spec : Constraints.spec) units ~sizing
           v
       in
       let budget = qb (Float.max floor_ps (local *. factor)) in
-      if Sys.getenv_opt "SMART_HIER_DEBUG" <> None then
-        Printf.eprintf "  task %-8s local=%6.1f budget=%6.1f slope=%5.1f caps=%s\n%!"
-          u.u_name local budget qslope
-          (String.concat ","
-             (List.map (fun (_, c) -> Printf.sprintf "%.1f" c) qcaps));
       let pinned_slots =
         List.sort compare
           (List.filter_map
@@ -930,7 +920,7 @@ let has_domino nl =
 
 let size ?(options = default_options) ?label ~engine tech nl spec =
   let ctx = prep ?label tech nl in
-  let d = decompose ctx options in
+  let d = decompose ctx in
   let target = spec.Constraints.target_delay in
   (* The outer acceptance band is half the sizer's: the monolithic flow
      typically lands BELOW the target, so a hierarchical result accepted
@@ -1000,13 +990,13 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
     Ok (finish ~iterations:it ~solved s p)
   in
   let rec iterate iter =
-    if iter > options.max_outer then
+    if iter > max_outer then
       match !best with
       | Some b -> finish_best b
       | None ->
         Error
           (Err.Sta_disagreement
-             { target_ps = target; iterations = options.max_outer })
+             { target_ps = target; iterations = max_outer })
     else begin
       let sta_cur =
         match !sta with
@@ -1054,12 +1044,9 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
         factor :=
           Float.max 0.35
             (!factor /. Float.min 1.25 (Float.max 1. (need ** damping)));
-      if Sys.getenv_opt "SMART_HIER_DEBUG" <> None then
-        Printf.eprintf "outer %d: delay=%.1f target=%.1f need=%.3f factor=%.3f\n%!"
-          iter sta_cur.Sta.max_delay target need !factor;
       let build () =
         group_tasks
-          (make_tasks ctx options spec d.d_units
+          (make_tasks ctx spec d.d_units
              ~sizing:(sizing_of_tbl !sizing) ~sta:sta_cur ~anchors
              ~factor:!factor)
       in
@@ -1075,7 +1062,7 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
           groups
         end
         else begin
-          factor := !factor /. (1. +. (options.boundary_quantum /. 8.));
+          factor := !factor /. (1. +. (boundary_quantum /. 8.));
           fresh (build ()) (tries + 1)
         end
       in
@@ -1171,7 +1158,7 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
           in
           if improved then best := Some (tbl, iter, solved, sta_new, prech, w);
           let slack = 0.995 *. target /. sta_new.Sta.max_delay in
-          if improved && iter < options.max_outer && slack > 1.004 then begin
+          if improved && iter < max_outer && slack > 1.004 then begin
             (* Met with room to spare: relax every budget by the slack
                and go around once more — the cheapest meeting state wins. *)
             factor := Float.min 1. (!factor *. Float.min 1.3 slack);

@@ -48,25 +48,7 @@ let to_text d =
     (match d.hint with None -> "" | Some h -> Printf.sprintf " (hint: %s)" h)
     (if d.waived then " [waived]" else "")
 
-(* Minimal JSON string escaping: the diagnostics only ever carry names and
-   printf-built messages, but backslashes and quotes in net names must not
-   produce invalid documents. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ json_escape s ^ "\""
+let jstr = Smart_util.Json.quote
 
 let loc_kind = function
   | Net _ -> "net"

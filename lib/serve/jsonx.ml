@@ -10,32 +10,9 @@ type t =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape_into b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+module Json = Smart_util.Json
 
-(* Shortest decimal that parses back to the same double: %.15g suffices
-   for most values, %.17g always does.  Integral values (the common case
-   on the wire: bits, iterations, millisecond counts) print as integers. *)
-let float_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else
-    let s15 = Printf.sprintf "%.15g" f in
-    if float_of_string s15 = f then s15
-    else
-      let s16 = Printf.sprintf "%.16g" f in
-      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+let float_to_string = Json.number
 
 let to_string v =
   let b = Buffer.create 256 in
@@ -48,7 +25,7 @@ let to_string v =
       else Buffer.add_string b "null"
     | Str s ->
       Buffer.add_char b '"';
-      escape_into b s;
+      Json.escape_into b s;
       Buffer.add_char b '"'
     | Arr xs ->
       Buffer.add_char b '[';
@@ -64,7 +41,7 @@ let to_string v =
         (fun i (k, x) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '"';
-          escape_into b k;
+          Json.escape_into b k;
           Buffer.add_string b "\":";
           go x)
         fields;

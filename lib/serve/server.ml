@@ -215,8 +215,7 @@ let worker_loop t =
   in
   loop ()
 
-let create ?(workers = 1) ?(max_queue = 64) ?cache_dir ?cache_stamp ?engine ()
-    =
+let create ?(workers = 1) ?(max_queue = 64) ?cache_dir ?engine () =
   let engine =
     (* Solves run one per worker domain; intra-solve parallelism would
        oversubscribe the machine, so the private engine is single-domain
@@ -227,7 +226,7 @@ let create ?(workers = 1) ?(max_queue = 64) ?cache_dir ?cache_stamp ?engine ()
     match cache_dir with
     | None -> None
     | Some dir ->
-      let s = Store.create ?stamp:cache_stamp ~dir () in
+      let s = Store.create ~dir () in
       ignore (Store.warm_up s);
       Engine.set_store engine (Some (Store.engine_store s));
       Some s

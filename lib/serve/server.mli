@@ -18,7 +18,6 @@ val create :
   ?workers:int ->
   ?max_queue:int ->
   ?cache_dir:string ->
-  ?cache_stamp:string ->
   ?engine:Smart_engine.Engine.t ->
   unit ->
   t
@@ -26,9 +25,8 @@ val create :
     requests; each solve runs on a single-domain engine.  [max_queue]
     (default 64): FIFO bound beyond which requests are refused with
     [Overloaded].  [cache_dir]: attach a persistent {!Store} there (the
-    store is warmed up and stale entries evicted).  [cache_stamp]
-    overrides the store's version stamp (tests).  [engine] overrides the
-    private single-domain engine. *)
+    store is warmed up and stale entries evicted).  [engine] overrides
+    the private single-domain engine. *)
 
 val engine : t -> Smart_engine.Engine.t
 val store : t -> Store.t option
@@ -42,9 +40,6 @@ val submit : t -> reply:(string -> unit) -> string -> unit
 (** Enqueue a request line; [reply] is called with the response line from
     a worker domain.  Called with an [Overloaded] error line immediately
     when the queue is full (or the daemon is shutting down). *)
-
-val drain : t -> unit
-(** Block until the queue is empty and no request is in flight. *)
 
 val shutdown : t -> unit
 (** Drain, stop and join the worker domains.  Idempotent. *)

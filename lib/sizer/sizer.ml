@@ -19,7 +19,6 @@ type options = {
   damping : float;
   reductions : Paths.reductions;
   objective : Constraints.objective;
-  gp_options : Solver.options;
   min_delay_hint : float option;
   gp_warm_start : bool;
   certify : bool;
@@ -33,7 +32,6 @@ let default_options =
     damping = 1.0;
     reductions = Paths.all_reductions;
     objective = Constraints.Area;
-    gp_options = Solver.default_options;
     min_delay_hint = None;
     gp_warm_start = true;
     certify = false;
@@ -293,9 +291,7 @@ let size_set ?(options = default_options) ?(mapper = sequential_mapper)
     let min_delay =
       match batched_min_delay with Some g -> g | None -> gen_min_delay ()
     in
-    match
-      Solver.solve ~options:options.gp_options min_delay.Constraints.problem
-    with
+    match Solver.solve min_delay.Constraints.problem with
     | Error _ -> ()
     | Ok sol -> (
       total_newton := sol.Solver.newton_iterations;
@@ -345,7 +341,7 @@ let size_set ?(options = default_options) ?(mapper = sequential_mapper)
          | Some (Smart_util.Fault.Error_result msg) -> Error msg
          | Some (Smart_util.Fault.Raise msg) -> raise (Err.Smart_error msg)
          | Some (Smart_util.Fault.Scale _) | None ->
-           Solver.resolve ~options:options.gp_options ?warm:!warm prepared
+           Solver.resolve ?warm:!warm prepared
        in
        match resolved with
        | Error e ->
@@ -608,7 +604,7 @@ let minimize_delay_typed ?(options = default_options) tech netlist spec =
   with
   | Some e -> Error e
   | None ->
-  match Solver.solve ~options:options.gp_options generated.Constraints.problem with
+  match Solver.solve generated.Constraints.problem with
   | Error e -> Error (Err.Gp_failure e)
   | Ok sol -> (
     match sol.Solver.status with

@@ -18,7 +18,6 @@ type options = {
   damping : float;  (** fraction of the measured mismatch applied (default 1.0) *)
   reductions : Smart_paths.Paths.reductions;
   objective : Smart_constraints.Constraints.objective;
-  gp_options : Smart_gp.Solver.options;
   min_delay_hint : float option;
       (** known model-space minimum delay (ps): skips the warm-start
           min-delay pre-solve — pass it when sweeping many targets over

@@ -59,36 +59,8 @@ let code = function
   | Bad_request _ -> "bad-request"
   | Overloaded _ -> "overloaded"
 
-(* JSON rendering is self-contained (lib/util has no dependencies): the
-   escaper covers the control characters and the two JSON metacharacters,
-   which is all a [to_string] message can contain. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jstr s = "\"" ^ json_escape s ^ "\""
-
-(* Shortest decimal that parses back to the identical double, so the
-   serve wire codec can round-trip errors exactly. *)
-let jfloat f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else
-    let s15 = Printf.sprintf "%.15g" f in
-    if float_of_string s15 = f then s15
-    else
-      let s16 = Printf.sprintf "%.16g" f in
-      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+let jstr = Json.quote
+let jfloat = Json.number
 
 let jobj fields =
   "{"

@@ -361,6 +361,37 @@ let test_certify_corner_set () =
   | Ok ro ->
     checkb "certified rounds" true (ro.Sizer.robust.Sizer.certified_rounds >= 1)
 
+(* The merged fast/typ/slow program of the 8-bit CLA adder compiles onto
+   the typ-only program's basis: corner copies of a constraint differ only
+   in coefficients, so both programs have the same distinct exponent rows
+   and the copies form families.  At the merged optimum, with budgets
+   doubled first so every barrier weight stays O(1) (the active slacks are
+   ~1e-10 there, and 1/F_k would magnify roundoff), the compiled kernel
+   matches the per-term reference. *)
+let test_merged_program_shares_basis () =
+  let module Solver = Smart.Gp in
+  let set = Corners.default_set () in
+  let nl = (Smart.Cla_adder.generate ~bits:8 ()).Smart.Macro.netlist in
+  let spec = C.spec (target_at (slow_tech set) nl) in
+  let merged = Corners.generate_robust set nl spec in
+  let typ =
+    C.generate (Corners.nominal set).Corners.tech nl spec
+  in
+  let single = Solver.structure_stats (Solver.prepare typ.C.problem) in
+  let prepared = Solver.prepare merged.Corners.generated.C.problem in
+  let st = Solver.structure_stats prepared in
+  Alcotest.(check int) "same rows as the typ-only program" single.Solver.rows
+    st.Solver.rows;
+  checkb "corner copies form families" true (st.Solver.families > 0);
+  match Solver.resolve prepared with
+  | Error e -> Alcotest.fail e
+  | Ok sol ->
+    checkb "merged program optimal" true (sol.Solver.status = Solver.Optimal);
+    Solver.rescale_compiled prepared (fun _ -> 0.5);
+    let diff = Solver.kernel_max_rel_diff prepared sol.Solver.values in
+    checkb (Printf.sprintf "kernel = per-term reference (%.2e <= 1e-10)" diff)
+      true (diff <= 1e-10)
+
 let () =
   Alcotest.run "smart_corners"
     [
@@ -383,6 +414,8 @@ let () =
       ( "robust",
         [
           Alcotest.test_case "set construction" `Quick test_set_construction;
+          Alcotest.test_case "merged program shares the typ basis" `Quick
+            test_merged_program_shares_basis;
           Alcotest.test_case "meets every corner" `Slow
             test_robust_meets_every_corner;
           Alcotest.test_case "domino precharge at corners" `Slow

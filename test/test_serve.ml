@@ -335,8 +335,10 @@ let test_disk_cache_across_restart () =
   let stats = Engine.cache_stats e2 in
   checkb "store hits recorded" true (stats.Engine.store_hits > 0);
   (* In-memory hit on the third serve of the same daemon. *)
-  let _, c3 = advice_of_line (Server.handle_line s2 advise_line) in
+  let a3, c3 = advice_of_line (Server.handle_line s2 advise_line) in
   checks "third serve from memory" "memory" c3;
+  checkb "memory hit byte-identical" true
+    (Jsonx.to_string a1 = Jsonx.to_string a3);
   Server.shutdown s2
 
 let test_store_stamp_invalidation () =

@@ -134,6 +134,34 @@ let test_sizing_preserves_function () =
   let out = List.assoc "out" (Smart_sim.Sim.eval_bits nl ins) in
   checkb "function intact" true (Smart_sim.Logic.equal out Smart_sim.Logic.V1)
 
+(* Warm-started resolves are a speed path, not a different answer: the
+   8-bit domino CLA adder sized at 1.25x its model minimum delay with
+   [gp_warm_start] on and off lands on the same golden delay within the
+   sizer's acceptance band, and only the warm run resolves warm. *)
+let test_warm_start_ab () =
+  let nl = (Smart_macros.Cla_adder.generate ~bits:8 ()).Macro.netlist in
+  let target =
+    match Sizer.minimize_delay_typed tech nl (C.spec 1e6) with
+    | Ok md -> 1.25 *. md.Sizer.model_min
+    | Error e -> Alcotest.fail (Smart_util.Err.to_string e)
+  in
+  let size gp_warm_start =
+    match
+      Sizer.size_typed
+        ~options:{ Sizer.default_options with Sizer.gp_warm_start }
+        tech nl (C.spec target)
+    with
+    | Ok o -> o
+    | Error e -> Alcotest.fail (Smart_util.Err.to_string e)
+  in
+  let warm = size true and cold = size false in
+  checkb "same golden delay within tolerance x target" true
+    (Float.abs (warm.Sizer.achieved_delay -. cold.Sizer.achieved_delay)
+    <= Sizer.default_options.Sizer.tolerance *. target);
+  checkb "warm rounds with warm starts on" true (warm.Sizer.gp_warm_rounds > 0);
+  Alcotest.(check int) "no warm rounds with warm starts off" 0
+    cold.Sizer.gp_warm_rounds
+
 let () =
   Alcotest.run "smart_sizer"
     [
@@ -145,6 +173,8 @@ let () =
           Alcotest.test_case "infeasible detected" `Quick test_infeasible_spec;
           Alcotest.test_case "minimize delay" `Quick test_minimize_delay;
           Alcotest.test_case "hint equivalence" `Quick test_min_delay_hint_equivalence;
+          Alcotest.test_case "warm starts on = off (8-bit CLA)" `Quick
+            test_warm_start_ab;
         ] );
       ( "families",
         [

@@ -1,4 +1,4 @@
-(* Unit tests: Smart_util (rng, stats, tables, errors). *)
+(* Unit tests: Smart_util (rng, stats, tables, errors, JSON text). *)
 
 module Rng = Smart_util.Rng
 module Stats = Smart_util.Stats
@@ -118,6 +118,112 @@ let test_err_conditional () =
   Alcotest.check_raises "fires" (Err.Smart_error "yes") (fun () ->
       Err.invalid_arg_if true "yes")
 
+(* The JSON renderings of typed errors, lint reports and trace events
+   share one string escaper and one number printer.  These documents pin
+   their layouts byte for byte: quotes, backslashes, tabs, newlines,
+   carriage returns and other control characters, and floats that need
+   all 16 digits to round-trip. *)
+let test_err_json_layout () =
+  let cases =
+    [
+      ( Err.No_applicable_topology { kind = "fifo" },
+        {|{"code":"no-applicable-topology","message":"no applicable fifo topology in database","data":{"kind":"fifo"}}|}
+      );
+      ( Err.Infeasible_spec { target_ps = 5.; detail = "path \"a\\b\" needs 12.3 ps" },
+        {|{"code":"infeasible-spec","message":"specification 5.0 ps infeasible (path \"a\\b\" needs 12.3 ps)","data":{"target_ps":5,"detail":"path \"a\\b\" needs 12.3 ps"}}|}
+      );
+      ( Err.Gp_failure "phase I\tstalled\nat t=1e3",
+        {|{"code":"gp-failure","message":"GP failure: phase I\tstalled\nat t=1e3","data":{"detail":"phase I\tstalled\nat t=1e3"}}|}
+      );
+      ( Err.Sta_disagreement { target_ps = 1. /. 3.; iterations = 8 },
+        {|{"code":"sta-disagreement","message":"no golden-feasible sizing found for 0.3 ps in 8 iterations","data":{"target_ps":0.3333333333333333,"iterations":8}}|}
+      );
+      ( Err.Invalid_request "bits \001 out of range",
+        {|{"code":"invalid-request","message":"invalid request: bits \u0001 out of range","data":{"detail":"bits \u0001 out of range"}}|}
+      );
+      ( Err.Worker_crash { item = 3; detail = "Stack_overflow\r" },
+        {|{"code":"worker-crash","message":"worker crashed on item 3: Stack_overflow\r","data":{"item":3,"detail":"Stack_overflow\r"}}|}
+      );
+      ( Err.Lint_failed
+          {
+            netlist = "mux4";
+            diagnostics = [ ("family/domino-monotone", "net n\"1", "rises") ];
+          },
+        {|{"code":"lint-failed","message":"lint failed on mux4: [family/domino-monotone] net n\"1: rises","data":{"netlist":"mux4","diagnostics":[{"rule":"family/domino-monotone","loc":"net n\"1","message":"rises"}]}}|}
+      );
+      ( Err.Bad_request { field = Some "delay"; detail = "not a number" },
+        {|{"code":"bad-request","message":"bad request: field delay: not a number","data":{"field":"delay","detail":"not a number"}}|}
+      );
+      ( Err.Bad_request { field = None; detail = "empty line" },
+        {|{"code":"bad-request","message":"bad request: empty line","data":{"detail":"empty line"}}|}
+      );
+      ( Err.Overloaded { queued = 64; limit = 64 },
+        {|{"code":"overloaded","message":"server overloaded: 64 requests queued (limit 64)","data":{"queued":64,"limit":64}}|}
+      );
+    ]
+  in
+  List.iter
+    (fun (e, json) -> Alcotest.(check string) (Err.code e) json (Err.to_json e))
+    cases
+
+let test_lint_json_layout () =
+  let module Report = Smart_lint.Report in
+  let report =
+    {
+      Smart_lint.Lint.netlist = "mux\"4";
+      diags =
+        [
+          Report.diag ~hint:"widen \\ keeper" ~rule:"family/keeper"
+            ~severity:Report.Warn ~loc:(Report.Inst "k\\0") "weak\tkeeper";
+          Report.diag ~rule:"elec/floating" ~severity:Report.Error
+            ~loc:(Report.Net "n\"1") "floating\r\nnet";
+          {
+            (Report.diag ~rule:"cover/label" ~severity:Report.Error
+               ~loc:(Report.Label "P1") "uncovered")
+            with
+            Report.waived = true;
+          };
+          Report.diag ~rule:"graph/cycle" ~severity:Report.Info
+            ~loc:Report.Whole_netlist "ok";
+        ];
+      rules_run = 4;
+      crashed = [];
+    }
+  in
+  Alcotest.(check string) "lint document"
+    {|{"netlist": "mux\"4", "summary": {"errors": 1, "waived_errors": 1, "warnings": 1, "infos": 1}, "diagnostics": [{"rule": "elec/floating", "severity": "error", "loc_kind": "net", "loc": "n\"1", "message": "floating\r\nnet", "waived": false}, {"rule": "cover/label", "severity": "error", "loc_kind": "label", "loc": "P1", "message": "uncovered", "waived": true}, {"rule": "family/keeper", "severity": "warn", "loc_kind": "inst", "loc": "k\\0", "message": "weak\tkeeper", "hint": "widen \\ keeper", "waived": false}, {"rule": "graph/cycle", "severity": "info", "loc_kind": "netlist", "loc": "<netlist>", "message": "ok", "waived": false}]}|}
+    (Smart_lint.Lint.to_json report)
+
+let test_trace_json_layout () =
+  let module Trace = Smart_engine.Engine.Trace in
+  let module T = Smart_util.Tracepoint in
+  Alcotest.(check string) "sizing line"
+    {|{"event":"sizing","label":"mux\"4","wall_s":0.0123457,"iterations":3,"gp_newton":120,"sta_verifies":3,"cache":"miss","ok":true}|}
+    (Trace.to_json
+       (Trace.Sizing
+          {
+            label = "mux\"4";
+            wall_s = 0.0123456789;
+            iterations = 3;
+            gp_newton = 120;
+            sta_verifies = 3;
+            cache = Trace.Miss;
+            ok = true;
+          }));
+  Alcotest.(check string) "raw line"
+    {|{"event":"raw","span":"hier.plan","wall_s":0.333333,"n":7,"x":2.5e-07,"s":"a\"b\\c\td\r","b":false}|}
+    (Trace.to_json
+       (Trace.Raw
+          {
+            T.span = "hier.plan";
+            dur_s = 1. /. 3.;
+            attrs =
+              [
+                ("n", T.Int 7); ("x", T.Float 2.5e-7); ("s", T.Str "a\"b\\c\td\r");
+                ("b", T.Bool false);
+              ];
+          }))
+
 let () =
   Alcotest.run "smart_util"
     [
@@ -151,5 +257,11 @@ let () =
         [
           Alcotest.test_case "fail" `Quick test_err_fail;
           Alcotest.test_case "conditional" `Quick test_err_conditional;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "Err.to_json layouts" `Quick test_err_json_layout;
+          Alcotest.test_case "Lint.to_json layout" `Quick test_lint_json_layout;
+          Alcotest.test_case "Trace.to_json layouts" `Quick test_trace_json_layout;
         ] );
     ]
