@@ -106,8 +106,29 @@ let smoke_egraph () =
     ]
     (Exp_egraph.run ~fast:true ())
 
+(* Paper smoke (dune build @paper-smoke, pulled into @bench-smoke): the
+   paper reproductions that are cheap at full size — Table 1, Figure 7
+   and the §5.2 path reduction, a few seconds together.  Fails unless
+   each ran all of its shape checks and every one holds. *)
+let smoke_paper () =
+  let ok =
+    List.map
+      (fun (name, expected) ->
+        Runner.verdicts := [];
+        run_one ~fast:false name;
+        let ran = List.length !Runner.verdicts in
+        if ran <> expected then
+          Printf.printf "  %s ran %d of its %d shape checks\n" name ran expected;
+        ran = expected && List.for_all snd !Runner.verdicts)
+      [ ("table1", 3); ("fig7", 3); ("paths", 2) ]
+  in
+  let ok = List.for_all Fun.id ok in
+  Printf.printf "\npaper smoke: %s\n" (if ok then "OK" else "FAILED");
+  exit (if ok then 0 else 1)
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  if List.mem "--smoke-paper" args then smoke_paper ();
   if List.mem "--smoke-egraph" args then smoke_egraph ();
   if List.mem "--smoke-corners" args then smoke_corners ();
   if List.mem "--smoke-hier" args then smoke_hier ();

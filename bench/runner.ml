@@ -94,7 +94,12 @@ let heading title =
 
 let note fmt = Printf.printf fmt
 
+(* Every shape-check verdict printed so far, newest first: the paper
+   smoke gates on them. *)
+let verdicts = ref []
+
 let shape_check ~name ok =
+  verdicts := (name, ok) :: !verdicts;
   Printf.printf "  shape check: %-44s %s\n" name (if ok then "HOLDS" else "DIVERGES")
 
 (* Machine-readable bench artifacts (BENCH_*.json): one flat object of

@@ -2,6 +2,7 @@ module Interval = Interval
 module Problem = Smart_gp.Problem
 module Posy = Smart_posy.Posy
 module Monomial = Smart_posy.Monomial
+module Constraints = Smart_constraints.Constraints
 module Err = Smart_util.Err
 module I = Interval
 
@@ -12,10 +13,6 @@ module I = Interval
 type cls = { factor_class : string; relax : float; tightest : float }
 
 let fixed_budget _ = { factor_class = "fixed"; relax = 1.; tightest = 1. }
-
-let prefixed ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
 
 (* The sizer's respecification loop moves each budget class within known
    mechanics (see Smart_sizer): evaluate/stage timing factors are seeded
@@ -32,12 +29,13 @@ let sizer_classes ~robust name =
     | Some (t, b) -> (t, b)
     | None -> ("", name)
   in
-  if prefixed ~prefix:"t:" base || prefixed ~prefix:"stg:" base then
+  match Constraints.budget_class base with
+  | Constraints.Timing ->
     { factor_class = tag ^ "@timing"; relax = infinity; tightest = infinity }
-  else if prefixed ~prefix:"pre:" base then
+  | Constraints.Precharge ->
     let range = if robust then 512. else 256. in
     { factor_class = tag ^ "@pre"; relax = range; tightest = range }
-  else { factor_class = "fixed"; relax = 1.; tightest = 1. }
+  | Constraints.Fixed -> { factor_class = "fixed"; relax = 1.; tightest = 1. }
 
 type options = { classify : string -> cls; max_sweeps : int; margin : float }
 
@@ -384,24 +382,6 @@ let var_interval t v =
       else bsearch lo mid
   in
   bsearch 0 n
-
-let posy_bound t p =
-  let iv_of v =
-    match var_interval t v with
-    | Some iv -> iv
-    | None -> { I.lo = default_lo; hi = default_hi }
-  in
-  let term_interval m =
-    List.fold_left
-      (fun acc (v, a) -> I.add acc (I.scale a (iv_of v)))
-      (I.point (Monomial.coeff m))
-      (Monomial.exponents m)
-  in
-  let ivs = List.map term_interval (Posy.monomials p) in
-  {
-    I.lo = I.lse (Array.of_list (List.map (fun iv -> iv.I.lo) ivs));
-    hi = I.lse (Array.of_list (List.map (fun iv -> iv.I.hi) ivs));
-  }
 
 let err_of_certificate ~target_ps (c : certificate) =
   Err.Infeasible_spec

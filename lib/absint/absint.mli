@@ -10,8 +10,8 @@
 
     Three products fall out of the fixed point:
     {ul
-    {- {b proofs}: guaranteed bounds on the objective and on any
-       posynomial over the feasible region ({!posy_bound}) — e.g. a
+    {- {b proofs}: guaranteed bounds on the objective and on every
+       variable over the feasible region ({!var_interval}) — e.g. a
        lower bound on achievable delay no solver run can beat;}
     {- {b infeasibility certificates}: a constraint whose proven lower
        bound exceeds every budget its surrounding loop could grant is
@@ -124,11 +124,6 @@ val analyze : ?options:options -> Problem.t -> t
 
 val var_interval : t -> string -> Interval.t option
 (** Narrowed interval of a variable ([None] when it does not occur). *)
-
-val posy_bound : t -> Posy.t -> Interval.t
-(** Interval of an arbitrary posynomial over the narrowed box (variables
-    unknown to the analysis use the default box) — encloses the
-    posynomial's value at every feasible point. *)
 
 val infeasibility :
   ?options:options -> target_ps:float -> Problem.t -> Smart_util.Err.t option

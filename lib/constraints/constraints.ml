@@ -491,15 +491,19 @@ let project ~scale result =
       Some { result with problem; area = posy result.area }
     with Lost -> None
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+type budget_class = Timing | Precharge | Fixed
+
+let budget_class name =
+  if String.starts_with ~prefix:"t:" name || String.starts_with ~prefix:"stg:" name
+  then Timing
+  else if String.starts_with ~prefix:"pre:" name then Precharge
+  else Fixed
 
 let rescale_factors ~timing ~precharge name =
-  if has_prefix ~prefix:"t:" name || has_prefix ~prefix:"stg:" name then
-    1. /. timing
-  else if has_prefix ~prefix:"pre:" name then 1. /. precharge
-  else 1.
+  match budget_class name with
+  | Timing -> 1. /. timing
+  | Precharge -> 1. /. precharge
+  | Fixed -> 1.
 
 let rescale_by factor result =
   let problem =

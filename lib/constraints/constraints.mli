@@ -105,6 +105,18 @@ val rescale_by : (string -> float) -> result -> result
 (** Scale each inequality by [factor name] — the problem-space twin of
     {!Smart_gp.Solver.rescale_compiled} fed the same factors. *)
 
+type budget_class =
+  | Timing  (** evaluate/data-path ([t:]) and stage ([stg:]) budgets *)
+  | Precharge  (** per-stage precharge budgets ([pre:]) *)
+  | Fixed  (** slope and bound constraints: never rescaled *)
+
+val budget_class : string -> budget_class
+(** The budget a generated constraint belongs to, read from its name
+    (untagged: split a merged corner name with
+    {!Smart_gp.Problem.split_scenario} first).  The one classification
+    behind {!rescale_factors}, the sizer's per-corner calibration, the
+    interval analysis's sizer classes and lint's label coverage. *)
+
 val rescale_factors : timing:float -> precharge:float -> string -> float
 (** The per-constraint coefficient factor {!rescale} applies, keyed by
     constraint name ([1.] for slope/bound constraints).  Feed this to

@@ -112,19 +112,15 @@ module Request = struct
     { t with requirements; bits = requirements.Database.bits }
 end
 
-(* Static analysis happens strictly before any GP work: candidates are
-   generated (cheap — netlist construction only), linted, and in [`Strict]
-   mode an unwaived Error-severity finding fails the whole request with
-   the structured {!Error.Lint_failed} — the engine never sees the
-   candidates, so nothing meaningless lands in its solve cache. *)
-let lint_candidates ?db (r : Request.t) =
+(* Static analysis happens strictly before any GP work: the menu's
+   candidates are linted, and in [`Strict] mode an unwaived
+   Error-severity finding fails the whole request with the structured
+   {!Error.Lint_failed} — the engine never sees the candidates, so
+   nothing meaningless lands in its solve cache. *)
+let lint_candidates (r : Request.t) built =
   match r.Request.lint with
   | `Off -> Ok []
   | (`Warn | `Strict) as mode ->
-    let db = match db with Some db -> db | None -> Database.builtins () in
-    let built =
-      Database.build_all db ~kind:r.Request.kind r.Request.requirements
-    in
     let reports =
       List.map
         (fun (_, info) ->
@@ -140,68 +136,25 @@ let lint_candidates ?db (r : Request.t) =
            { netlist = rep.Lint.netlist; diagnostics = Lint.gating rep })
     | _ -> Ok reports)
 
-(* Interval precheck, same discipline as the lint gate: every candidate's
-   generated program is abstractly interpreted (Smart_absint) before the
-   engine sees anything; when {e every} candidate carries an
-   infeasibility certificate, the request is provably unservable and is
-   rejected with one structured error — no candidate is compiled, solved
-   or cached.  A partially-certified menu proceeds: the certified
-   candidates fast-fail inside the sizer, the rest compete as usual. *)
-let absint_candidates ?db (r : Request.t) =
-  if not r.Request.options.Sizer.absint then None
-  else
-    let db = match db with Some db -> db | None -> Database.builtins () in
-    let built =
-      Database.build_all db ~kind:r.Request.kind r.Request.requirements
-    in
-    if built = [] then None
-    else begin
-      (* Under a corner set the joint sizing must hold at the nominal
-         corner too, so a nominal-tech certificate already covers the
-         robust flow. *)
-      let tech =
-        match r.Request.corners with
-        | Some set -> (Corners.nominal set).Corners.tech
-        | None -> r.Request.tech
-      in
-      (* The sizer widens the precharge range only where it calibrates:
-         on sets of two or more corners. *)
-      let robust =
-        match r.Request.corners with
-        | Some set -> Corners.length set > 1
-        | None -> false
-      in
-      let errs =
+(* The menu is built once (netlist construction only) and shared by the
+   lint gate and the sizing batch. *)
+let run ?db (r : Request.t) =
+  let db = match db with Some db -> db | None -> Database.builtins () in
+  match Database.build_all db ~kind:r.Request.kind r.Request.requirements with
+  | [] -> Error (Error.No_applicable_topology { kind = r.Request.kind })
+  | built -> (
+    match lint_candidates r built with
+    | Error e -> Error e
+    | Ok lints -> (
+      let variants =
         List.map
-          (fun (_, info) ->
-            let generated =
-              Constraints.generate
-                ~reductions:r.Request.options.Sizer.reductions
-                ~objective:r.Request.options.Sizer.objective tech
-                info.Smart_macros.Macro.netlist r.Request.spec
-            in
-            Absint.infeasibility
-              ~options:(Absint.sizer_options ~robust)
-              ~target_ps:r.Request.spec.Constraints.target_delay
-              generated.Constraints.problem)
+          (fun ((e : Database.entry), info) -> (e.Database.entry_name, info))
           built
       in
-      if List.for_all Option.is_some errs then List.hd errs else None
-    end
-
-let run ?db (r : Request.t) =
-  match lint_candidates ?db r with
-  | Error e -> Error e
-  | Ok lints -> (
-    match absint_candidates ?db r with
-    | Some e -> Error e
-    | None -> (
-      let db = match db with Some db -> db | None -> Database.builtins () in
       match
-        Explore.explore_typed ?engine:r.Request.engine ~options:r.Request.options
+        Explore.tune_typed ?engine:r.Request.engine ~options:r.Request.options
           ?corners:r.Request.corners ~hier:r.Request.hier
-          ~rewrite:r.Request.rewrite ~metric:r.Request.metric ~db
-          ~kind:r.Request.kind ~requirements:r.Request.requirements
+          ~rewrite:r.Request.rewrite ~metric:r.Request.metric ~variants
           r.Request.tech r.Request.spec
       with
       | Error e -> Error e

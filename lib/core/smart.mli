@@ -181,11 +181,13 @@ end
 
 val run : ?db:Database.t -> Request.t -> (advice, Error.t) result
 (** The advisory flow of Figure 1 over a macro instance ([db] defaults
-    to {!Database.builtins}).  Two static gates run strictly before any
-    GP work: the lint gate (see {!Request.t.lint}) and — unless
-    [options.absint] is off — an interval-analysis precheck
-    ({!Absint}) that rejects the request with
-    {!Error.Infeasible_spec} when {e every} candidate's generated
-    program carries an infeasibility certificate. *)
+    to {!Database.builtins}).  The menu is built once: an empty one is
+    {!Error.No_applicable_topology}; otherwise the lint gate (see
+    {!Request.t.lint}) runs strictly before any GP work and the
+    candidates are sized and ranked by {!Explore.tune_typed}.  Unless
+    [options.absint] is off, each candidate's sizer rejects a
+    certified-infeasible program ({!Absint}) before compiling it, so a
+    menu that is certified throughout fails with
+    {!Error.Infeasible_spec} without any GP solve. *)
 
 val version : string

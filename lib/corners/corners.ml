@@ -82,7 +82,6 @@ let of_string ?(base = Tech.default) s =
     go [] tokens
 
 let to_list (s : set) = s
-let length = List.length
 let names s = List.map (fun c -> c.corner_name) s
 let to_string s = String.concat "," (names s)
 

@@ -55,7 +55,6 @@ val of_string : ?base:Tech.t -> string -> (set, string) result
     ["fast,typ,slow"] or ["typ,hot:1.6"]. *)
 
 val to_list : set -> corner list
-val length : set -> int
 val names : set -> string list
 val to_string : set -> string  (** comma-joined names (CLI syntax) *)
 

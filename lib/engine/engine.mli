@@ -260,8 +260,9 @@ val analyze :
 (** Memoized interval analysis ({!Smart_absint.Absint.analyze}) of a
     netlist's sizing and min-delay programs — generation plus narrowing
     only, never a GP solve or an STA run.  Cached under its own tag with
-    the same structural digest as sizings, so repeats (hierarchy
-    isomorphism classes, repeated advisory calls) are free.  Emits one
+    the same structural digest as sizings, so repeats are free.  Callers:
+    the daemon's interval sidecar and [smart_cli analyze]; sizing gates
+    on the sizer's own certificate check instead.  Emits one
     {!Trace.Analysis} span. *)
 
 val size_all :

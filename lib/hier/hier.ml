@@ -12,7 +12,6 @@ module Sizer = Smart_sizer.Sizer
 module Sta = Smart_sta.Sta
 module Load = Smart_models.Load
 module Engine = Smart_engine.Engine
-module Absint = Smart_absint.Absint
 
 type mode = [ `Auto | `Off | `Force ]
 
@@ -1067,34 +1066,6 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
         end
       in
       let groups = fresh (build ()) (if iter = 1 then 4 else 0) in
-      (* Interval fast-fail, first iteration only, before any GP solve:
-         every group's representative sub-problem is abstractly
-         interpreted through the engine — one cached analysis per
-         (structure, boundary) key, so the members of an isomorphism
-         class share a single summary.  A certificate under the sizer
-         classification comes from budget-independent constraints (slope,
-         device bounds), so no outer-loop budget relaxation could ever
-         rescue it; rejecting here saves the whole solve fan-out. *)
-      let absint_err =
-        if iter > 1 || not options.sizer.Sizer.absint then None
-        else
-          List.find_map
-            (fun g ->
-              let rep = List.hd g in
-              let a =
-                Engine.analyze engine
-                  ~label:(span_label ctx rep.t_unit.u_name)
-                  ~options:options.sizer ctx.tech rep.t_sub
-                  (sub_spec spec rep ~budget:rep.t_budget)
-              in
-              Option.map
-                (Absint.err_of_certificate ~target_ps:target)
-                a.Engine.area_summary.Absint.infeasible)
-            groups
-      in
-      match absint_err with
-      | Some e -> Error e
-      | None ->
       let results = Engine.map engine (solve_group engine options ctx spec) groups in
       List.iter
         (fun (_, r) ->
@@ -1106,6 +1077,10 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
           (function _, Error (e, _) -> Some e | _, Ok _ -> None)
           results
       with
+      | Some (Err.Infeasible_spec { detail; _ }) ->
+        (* A unit infeasible even at its relaxed budget makes the
+           caller's target infeasible. *)
+        Error (Err.Infeasible_spec { target_ps = target; detail })
       | Some e -> Error e
       | None ->
         let solved =

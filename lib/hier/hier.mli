@@ -124,13 +124,9 @@ val size :
     so batch callers keep per-candidate span attribution — the parity
     {!Smart_explore.Explore} relies on.
     Callers gate on {!engages}; [size] itself always decomposes.
-    Unless [options.sizer.absint] is off, every first-iteration
-    sub-problem representative is interval-analyzed
-    ({!Smart_engine.Engine.analyze} — one cached summary per
-    isomorphism class) before any GP dispatch, and a certificate
-    fast-fails the whole sizing with
-    {!Smart_util.Err.Infeasible_spec}.  Errors: a sub-problem
-    infeasible even after budget relaxation surfaces as
-    {!Smart_util.Err.Infeasible_spec}; an outer loop that exhausts
-    12 outer iterations without the golden timer confirming the target
-    is {!Smart_util.Err.Sta_disagreement}. *)
+    Errors: a sub-problem infeasible even after budget relaxation —
+    including one its sizer certifies infeasible before any GP solve —
+    surfaces as {!Smart_util.Err.Infeasible_spec} against [spec]'s
+    target; an outer loop that exhausts 12 outer iterations without the
+    golden timer confirming the target is
+    {!Smart_util.Err.Sta_disagreement}. *)

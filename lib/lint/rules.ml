@@ -815,15 +815,11 @@ let r_orphan_label ctx =
         "constraint generation failed; label coverage not checked";
     ]
   | Some result ->
-    let sizing_prefixes = [ "t:"; "stg:"; "pre:" ] in
     let covered = Hashtbl.create 64 in
     List.iter
       (fun (name, posy) ->
-        if
-          List.exists
-            (fun p -> String.starts_with ~prefix:p name)
-            sizing_prefixes
-        then List.iter (fun v -> Hashtbl.replace covered v ()) (Posy.vars posy))
+        if Constraints.budget_class name <> Constraints.Fixed then
+          List.iter (fun v -> Hashtbl.replace covered v ()) (Posy.vars posy))
       result.Constraints.problem.Smart_gp.Problem.inequalities;
     let pinned = List.map fst ctx.spec.Constraints.pinned in
     Netlist.labels ctx.nl

@@ -4,7 +4,6 @@ module Cell = Smart_circuit.Cell
 type sense = Rise | Fall
 
 let opposite = function Rise -> Fall | Fall -> Rise
-let sense_to_string = function Rise -> "r" | Fall -> "f"
 
 type kind = Data | Control | Precharge | Eval
 
@@ -51,9 +50,6 @@ let arc_of_pin cell pin =
   match List.find_opt (fun a -> a.pin = pin) (arcs_of cell) with
   | Some a -> a
   | None -> Err.fail "Arc.arc_of_pin: cell %s has no arc from pin %s" (Cell.gate_name cell) pin
-
-let out_senses t ~in_sense =
-  List.filter_map (fun (i, o) -> if i = in_sense then Some o else None) t.senses
 
 let kind_to_string = function
   | Data -> "data"

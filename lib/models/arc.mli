@@ -10,7 +10,6 @@
 type sense = Rise | Fall
 
 val opposite : sense -> sense
-val sense_to_string : sense -> string
 
 type kind =
   | Data  (** ordinary logic propagation *)
@@ -33,8 +32,5 @@ val data_arcs_of : Smart_circuit.Cell.kind -> t list
 
 val arc_of_pin : Smart_circuit.Cell.kind -> string -> t
 (** Raises if the pin has no arc. *)
-
-val out_senses : t -> in_sense:sense -> sense list
-(** Output transitions this arc produces for a given input transition. *)
 
 val kind_to_string : kind -> string

@@ -316,13 +316,3 @@ let levels (t : Netlist.t) =
   lvl
 
 let depth t = Array.fold_left max 0 (levels t)
-
-let pp_path ppf p =
-  let pp_step ppf s =
-    Format.fprintf ppf "%s.%s" s.s_inst.Netlist.inst_name s.s_pin
-  in
-  Format.fprintf ppf "@[%a@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf " -> ")
-       pp_step)
-    p.steps

@@ -77,4 +77,3 @@ val levels : Smart_circuit.Netlist.t -> int array
 val depth : Smart_circuit.Netlist.t -> int
 (** [Array.fold_left max 0 (levels t)] — the levelised logic depth. *)
 
-val pp_path : Format.formatter -> path -> unit

@@ -98,9 +98,6 @@ let subst_posy x p t =
   in
   merge (List.concat_map subst_one t)
 
-let max_exponent t x =
-  List.fold_left (fun acc m -> max acc (Monomial.degree_of m x)) 0. t
-
 let equal a b = List.equal Monomial.equal a b
 
 let drop_tiny ~rel t =

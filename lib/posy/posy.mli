@@ -48,7 +48,6 @@ val subst_posy : string -> t -> t -> t
     occurrence of the variable has a non-negative integer exponent
     (raises otherwise) — used by model composition for slope terms. *)
 
-val max_exponent : t -> string -> float
 val equal : t -> t -> bool
 
 val drop_tiny : rel:float -> t -> t

@@ -204,13 +204,11 @@ let size_set ?(options = default_options) ?(mapper = sequential_mapper)
         match Problem.split_scenario name with
         | Some (tag, rest) -> (
           match Corners.index_of_tag tag with
-          | Some i when i >= 0 && i < n ->
-            if
-              String.starts_with ~prefix:"t:" rest
-              || String.starts_with ~prefix:"stg:" rest
-            then timing_posys.(i) <- p :: timing_posys.(i)
-            else if String.starts_with ~prefix:"pre:" rest then
-              pre_posys.(i) <- p :: pre_posys.(i)
+          | Some i when i >= 0 && i < n -> (
+            match Constraints.budget_class rest with
+            | Constraints.Timing -> timing_posys.(i) <- p :: timing_posys.(i)
+            | Constraints.Precharge -> pre_posys.(i) <- p :: pre_posys.(i)
+            | Constraints.Fixed -> ())
           | _ -> ())
         | None -> ())
       generated.Constraints.problem.Problem.inequalities;

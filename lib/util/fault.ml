@@ -13,8 +13,6 @@ let with_lock f =
 let arm ?(count = 1) site action =
   with_lock (fun () -> Hashtbl.replace armed site { action; shots = count })
 
-let disarm site = with_lock (fun () -> Hashtbl.remove armed site)
-
 let reset () =
   with_lock (fun () ->
       Hashtbl.reset armed;

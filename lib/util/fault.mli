@@ -26,9 +26,6 @@ val arm : ?count:int -> string -> action -> unit
     [fire site] return [Some action].  Re-arming replaces any previous
     arming of the same site. *)
 
-val disarm : string -> unit
-(** Remove any arming for [site] (fired counts are kept). *)
-
 val reset : unit -> unit
 (** Disarm every site and clear fired counters. *)
 

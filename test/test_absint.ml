@@ -190,41 +190,72 @@ let test_presolve_rot4_merged () =
 
 (* ---------------- fast-fail regression ---------------- *)
 
-(* A spec whose slope budget is provably unreachable must be rejected
-   with a structured certificate BEFORE any GP solve runs: the trace may
-   carry analysis spans but no gp.solve span. *)
-let test_fast_fail_no_gp_solve () =
-  let nl = (Smart.Mux.generate Smart.Mux.Strongly_mutexed ~n:4).Smart.Macro.netlist in
-  let spec = C.spec ~max_slope:1e-4 400. in
+(* Run [f] with the process-wide tracepoint stream (where the solver
+   emits its gp.solve spans) bridged into a memory sink; return [f]'s
+   result and the number of gp.solve spans it emitted. *)
+let gp_solves f =
   let sink, drain = Engine.Trace.memory () in
-  let engine = Engine.create ~workers:1 ~sink () in
-  (match Engine.size engine ~options:Sizer.default_options tech nl spec with
-  | Error (Err.Infeasible_spec _) -> ()
-  | Error e -> Alcotest.failf "wrong error class: %s" (Err.to_string e)
-  | Ok _ -> Alcotest.fail "impossible slope budget was accepted");
-  let gp_spans =
-    List.filter
-      (function Engine.Trace.Gp_solve _ -> true | _ -> false)
-      (drain ())
-  in
-  checki "no gp.solve span on the fast-fail path" 0 (List.length gp_spans)
+  Engine.Trace.install_global sink;
+  let r = Fun.protect ~finally:Engine.Trace.uninstall_global f in
+  ( r,
+    List.length
+      (List.filter
+         (function Engine.Trace.Gp_solve _ -> true | _ -> false)
+         (drain ())) )
 
-(* Turning the gate off restores the old behaviour: the solver itself
-   reports the infeasibility (or the sizer fails to meet the slope), but
-   only after doing GP work — the latency contrast the bench measures. *)
-let test_gate_off_still_fails () =
-  let nl = (Smart.Mux.generate Smart.Mux.Strongly_mutexed ~n:4).Smart.Macro.netlist in
+(* A certified rejection: [Infeasible_spec] against the caller's own
+   target, and no gp.solve span (sizing spans may appear). *)
+let check_fast_fail name ~target_ps (r, solves) =
+  (match r with
+  | Error (Err.Infeasible_spec { target_ps = t; _ }) ->
+    Alcotest.(check (float 0.)) (name ^ ": target_ps") target_ps t
+  | Error e -> Alcotest.failf "%s: wrong error class: %s" name (Err.to_string e)
+  | Ok _ -> Alcotest.failf "%s: impossible slope budget was accepted" name);
+  checki (name ^ ": no gp.solve span") 0 solves
+
+let mux4 () =
+  (Smart.Mux.generate Smart.Mux.Strongly_mutexed ~n:4).Smart.Macro.netlist
+
+(* A spec whose slope budget is provably unreachable must be rejected
+   with a structured certificate BEFORE any GP solve runs.  The control
+   turns the gate off: the same spec then fails only after GP work, which
+   the same sink must see — otherwise a zero count proves nothing. *)
+let test_fast_fail_no_gp_solve () =
   let spec = C.spec ~max_slope:1e-4 400. in
-  let options = { Sizer.default_options with Sizer.absint = false } in
-  match Sizer.size_typed ~options tech nl spec with
-  | Ok _ -> Alcotest.fail "impossible slope budget was accepted"
-  | Error _ -> ()
+  let size absint =
+    gp_solves (fun () ->
+        Engine.size (Engine.create ~workers:1 ())
+          ~options:{ Sizer.default_options with Sizer.absint }
+          tech (mux4 ()) spec)
+  in
+  (match size false with
+  | Ok _, _ -> Alcotest.fail "gate off: impossible slope budget was accepted"
+  | Error _, solves ->
+    checkb "gate off: gp.solve spans reach the sink" true (solves > 0));
+  check_fast_fail "Engine.size" ~target_ps:400. (size true)
+
+(* The advisory flow: every menu candidate is certified, so the request
+   fails as a whole, still before any GP solve. *)
+let test_fast_fail_smart_run () =
+  let r =
+    Smart.Request.make ~engine:(Engine.create ~workers:1 ())
+      ~spec:(C.spec ~max_slope:1e-4 400.) ~kind:"mux" ~bits:4 ()
+  in
+  check_fast_fail "Smart.run" ~target_ps:400. (gp_solves (fun () -> Smart.run r))
+
+(* Hierarchical sizing: a certified sub-problem fails the whole sizing,
+   reported against the caller's target, not the unit's budget. *)
+let test_fast_fail_hier () =
+  let nl = (Smart.Datapath.generate ()).Smart.Macro.netlist in
+  check_fast_fail "Hier.size" ~target_ps:2000.
+    (gp_solves (fun () ->
+         Smart.Hier.size ~engine:(Engine.create ~workers:1 ()) tech nl
+           (C.spec ~max_slope:1e-4 2000.)))
 
 (* The infeasibility helper renders the same certificate the analysis
    carries, as a structured error. *)
 let test_infeasibility_helper () =
-  let nl = (Smart.Mux.generate Smart.Mux.Strongly_mutexed ~n:4).Smart.Macro.netlist in
-  let g = C.generate tech nl (C.spec ~max_slope:1e-4 400.) in
+  let g = C.generate tech (mux4 ()) (C.spec ~max_slope:1e-4 400.) in
   match
     Absint.infeasibility
       ~options:(Absint.sizer_options ~robust:false)
@@ -257,8 +288,10 @@ let () =
       ( "fast-fail",
         [
           Alcotest.test_case "no gp.solve span" `Quick test_fast_fail_no_gp_solve;
-          Alcotest.test_case "gate off still fails" `Quick
-            test_gate_off_still_fails;
+          Alcotest.test_case "Smart.run: no gp.solve span" `Quick
+            test_fast_fail_smart_run;
+          Alcotest.test_case "Hier.size: no gp.solve span" `Quick
+            test_fast_fail_hier;
           Alcotest.test_case "infeasibility helper" `Quick
             test_infeasibility_helper;
         ] );
