@@ -523,12 +523,28 @@ let analyze_cmd =
     | Ok info ->
       let nl = info.Smart.Macro.netlist in
       let spec = Smart.Constraints.spec delay in
-      let engine = Smart.Engine.create ~workers:1 () in
-      let a =
-        Smart.Engine.analyze engine ~options:Smart.Sizer.default_options tech
-          nl spec
+      let problem =
+        (Smart.Constraints.generate tech nl spec).Smart.Constraints.problem
       in
-      let s = a.Smart.Engine.area_summary in
+      let s =
+        Smart.Absint.summarize
+          (Smart.Absint.analyze
+             ~options:(Smart.Absint.sizer_options ~robust:false)
+             problem)
+      in
+      (* The delay floor comes from the min-delay formulation: the
+         makespan variable's narrowed lower bound is a bound no solver run
+         (and no respecification loop) can beat. *)
+      let delay_lo_ps =
+        let md = Smart.Constraints.generate_min_delay tech nl spec in
+        match
+          Smart.Absint.var_interval
+            (Smart.Absint.analyze md.Smart.Constraints.problem)
+            Smart.Constraints.delay_variable
+        with
+        | Some iv -> Smart.Interval.lo_linear iv
+        | None -> 0.
+      in
       Printf.printf
         "%s: %d variables, %d inequalities, %d equalities (%d narrowing \
          sweeps)\n"
@@ -536,7 +552,7 @@ let analyze_cmd =
         s.Smart.Absint.inequalities s.Smart.Absint.equalities
         s.Smart.Absint.sweeps;
       Printf.printf "  proven delay floor  %10.1f ps   (spec %.1f ps)\n"
-        a.Smart.Engine.delay_lo_ps delay;
+        delay_lo_ps delay;
       Printf.printf "  area lower bound    %10.1f um   (no sizing can beat it)\n"
         s.Smart.Absint.objective_lo;
       Printf.printf "  never-binding       %10d constraints\n"
@@ -544,24 +560,15 @@ let analyze_cmd =
       Printf.printf
         "  bound tightening    %10d variables narrowed (avg %.1f%% log-width)\n"
         s.Smart.Absint.tightened s.Smart.Absint.tighten_avg_pct;
-      (* Presolve preview at the generated (fixed) budgets: what a direct
-         [Solver.solve] of this program would be spared. *)
-      let g = Smart.Constraints.generate tech nl spec in
-      let fixed = Smart.Absint.analyze g.Smart.Constraints.problem in
-      let red = Smart.Absint.reduce fixed in
-      Printf.printf
-        "  presolve            %10d/%d inequalities dropped (%.1f%%), %d \
-         bounds tightened\n"
-        (List.length red.Smart.Absint.dropped)
-        red.Smart.Absint.total
-        (Smart.Absint.drop_pct red)
-        red.Smart.Absint.tightened_bounds;
       (* The verdict is against the spec AS GIVEN (fixed budgets): a
          certificate here means no sizing within device bounds meets it.
          [s.infeasible] is the stronger sizer-classified claim (not even
          the respecification loop could rescue it); prefer it when both
          exist. *)
-      (match (s.Smart.Absint.infeasible, fixed.Smart.Absint.certificate) with
+      (match
+         (s.Smart.Absint.infeasible,
+          (Smart.Absint.analyze problem).Smart.Absint.certificate)
+       with
       | Some c, _ | None, Some c ->
         report_error ~cmd:"analyze"
           (Smart.Absint.err_of_certificate ~target_ps:delay c)
@@ -573,9 +580,9 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:
          "Abstract interpretation of a macro's sizing program: proven \
-          delay/area lower bounds, never-binding constraints, presolve \
-          reduction preview (exit 1 with $(b,infeasible-spec) when the \
-          spec is certified unreachable)")
+          delay/area lower bounds and never-binding constraints (exit 1 \
+          with $(b,infeasible-spec) when the spec is certified \
+          unreachable)")
     Term.(const run $ kind_arg $ bits_arg $ load_arg $ delay_arg)
 
 (* ---------------- lint ---------------- *)

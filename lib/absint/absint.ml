@@ -10,9 +10,9 @@ module I = Interval
 (* Budget classification                                               *)
 (* ------------------------------------------------------------------ *)
 
-type cls = { factor_class : string; relax : float; tightest : float }
+type cls = { relax : float; tightest : float }
 
-let fixed_budget _ = { factor_class = "fixed"; relax = 1.; tightest = 1. }
+let fixed_budget _ = { relax = 1.; tightest = 1. }
 
 (* The sizer's respecification loop moves each budget class within known
    mechanics (see Smart_sizer): evaluate/stage timing factors are seeded
@@ -24,23 +24,26 @@ let fixed_budget _ = { factor_class = "fixed"; relax = 1.; tightest = 1. }
    loop's per-corner calibration adds one more factor-2 clamp.  Slope
    and any other constraint are never rescaled at all. *)
 let sizer_classes ~robust name =
-  let tag, base =
-    match Problem.split_scenario name with
-    | Some (t, b) -> (t, b)
-    | None -> ("", name)
+  let base =
+    match Problem.split_scenario name with Some (_, b) -> b | None -> name
   in
   match Constraints.budget_class base with
-  | Constraints.Timing ->
-    { factor_class = tag ^ "@timing"; relax = infinity; tightest = infinity }
+  | Constraints.Timing -> { relax = infinity; tightest = infinity }
   | Constraints.Precharge ->
     let range = if robust then 512. else 256. in
-    { factor_class = tag ^ "@pre"; relax = range; tightest = range }
-  | Constraints.Fixed -> { factor_class = "fixed"; relax = 1.; tightest = 1. }
+    { relax = range; tightest = range }
+  | Constraints.Fixed -> fixed_budget name
 
-type options = { classify : string -> cls; max_sweeps : int; margin : float }
+type options = { classify : string -> cls }
 
-let default_options = { classify = fixed_budget; max_sweeps = 8; margin = 1e-6 }
-let sizer_options ~robust = { default_options with classify = sizer_classes ~robust }
+let default_options = { classify = fixed_budget }
+let sizer_options ~robust = { classify = sizer_classes ~robust }
+
+(* The narrowing fixed-point cap, and the relative slack required before
+   a certificate is issued — the roundoff guard that keeps floating-point
+   noise from rejecting a feasible specification. *)
+let max_sweeps = 8
+let margin_log = log1p 1e-6
 
 (* ------------------------------------------------------------------ *)
 (* Analysis result types                                               *)
@@ -56,7 +59,6 @@ type certificate = {
 
 type constraint_bound = {
   name : string;
-  cls : cls;
   bound : I.t;
   binding_possible : bool;
 }
@@ -70,7 +72,6 @@ type t = {
   objective : I.t;
   certificate : certificate option;
   sweeps : int;
-  margin : float;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -141,7 +142,7 @@ let certify ~name ~excess ~budget ~detail =
    change); emptying it beyond the margin is a proof of infeasibility. *)
 let improve_tol = 1e-9
 
-let tighten_hi box i v ~margin_log ~name ~budget changed =
+let tighten_hi box i v ~name ~budget changed =
   let iv = box.(i) in
   if v < iv.I.hi -. improve_tol then
     if v < iv.I.lo then begin
@@ -156,7 +157,7 @@ let tighten_hi box i v ~margin_log ~name ~budget changed =
       changed := true
     end
 
-let tighten_lo box i v ~margin_log ~name ~budget changed =
+let tighten_lo box i v ~name ~budget changed =
   let iv = box.(i) in
   if v > iv.I.lo +. improve_tol then
     if v > iv.I.hi then begin
@@ -182,7 +183,7 @@ let tighten_lo box i v ~margin_log ~name ~budget changed =
    - each term can use at most what the other terms' minima leave of the
      budget ([log_sub]), which bounds each variable it mentions through
      the term's affine form. *)
-let narrow_inequality box c ~margin_log =
+let narrow_inequality box c =
   let changed = ref false in
   let b = c.budget_log in
   if b < infinity then begin
@@ -216,10 +217,10 @@ let narrow_inequality box c ~margin_log =
             let rest = I.lse (Array.map (fun l -> l -. contrib) lows) in
             let bound = b -. rest in
             if a > 0. then
-              tighten_hi box i (bound /. a) ~margin_log ~name:c.cname
+              tighten_hi box i (bound /. a) ~name:c.cname
                 ~budget:(exp b) changed
             else
-              tighten_lo box i (bound /. a) ~margin_log ~name:c.cname
+              tighten_lo box i (bound /. a) ~name:c.cname
                 ~budget:(exp b) changed
           end)
         first
@@ -246,10 +247,10 @@ let narrow_inequality box c ~margin_log =
               let tl = lows.(j) -. contrib in
               let bound = (ub -. tl) /. a in
               if a > 0. then
-                tighten_hi box i bound ~margin_log ~name:c.cname
+                tighten_hi box i bound ~name:c.cname
                   ~budget:(exp b) changed
               else
-                tighten_lo box i bound ~margin_log ~name:c.cname
+                tighten_lo box i bound ~name:c.cname
                   ~budget:(exp b) changed)
             t.exps)
       c.terms
@@ -258,7 +259,7 @@ let narrow_inequality box c ~margin_log =
 
 (* A monomial equality [g = 1] pins [log g = 0]: two-sided narrowing of
    every variable, and a proof when the interval of [log g] excludes 0. *)
-let narrow_equality box (name, term) ~margin_log =
+let narrow_equality box (name, term) =
   let changed = ref false in
   let lo = term_lo box term and hi = term_hi box term in
   if lo > margin_log then
@@ -277,8 +278,8 @@ let narrow_equality box (name, term) ~margin_log =
       (* a*y_i = -rest  =>  y_i in [-r_hi; -r_lo] / a *)
       let b_lo = -.r_hi /. a and b_hi = -.r_lo /. a in
       let b_lo, b_hi = if a >= 0. then (b_lo, b_hi) else (b_hi, b_lo) in
-      tighten_lo box i b_lo ~margin_log ~name ~budget:1. changed;
-      tighten_hi box i b_hi ~margin_log ~name ~budget:1. changed)
+      tighten_lo box i b_lo ~name ~budget:1. changed;
+      tighten_hi box i b_hi ~name ~budget:1. changed)
     term.exps;
   !changed
 
@@ -303,7 +304,6 @@ let analyze ?(options = default_options) (problem : Problem.t) =
         | None -> seed.(i) <- I.of_linear lo hi))
     problem.Problem.bounds;
   let box = Array.copy seed in
-  let margin_log = log1p options.margin in
   let compile_term m =
     {
       logc = log (Monomial.coeff m);
@@ -334,14 +334,14 @@ let analyze ?(options = default_options) (problem : Problem.t) =
   let certificate = ref None in
   (try
      let continue_ = ref true in
-     while !continue_ && !sweeps < options.max_sweeps do
+     while !continue_ && !sweeps < max_sweeps do
        incr sweeps;
        let changed = ref false in
        List.iter
-         (fun c -> if narrow_inequality box c ~margin_log then changed := true)
+         (fun c -> if narrow_inequality box c then changed := true)
          ineqs;
        List.iter
-         (fun e -> if narrow_equality box e ~margin_log then changed := true)
+         (fun e -> if narrow_equality box e then changed := true)
          eqs;
        continue_ := !changed
      done
@@ -354,7 +354,7 @@ let analyze ?(options = default_options) (problem : Problem.t) =
           c.ccls.tightest = infinity
           || bound.I.hi >= -.log c.ccls.tightest -. margin_log
         in
-        { name = c.cname; cls = c.ccls; bound; binding_possible })
+        { name = c.cname; bound; binding_possible })
       ineqs
     |> Array.of_list
   in
@@ -367,7 +367,6 @@ let analyze ?(options = default_options) (problem : Problem.t) =
     objective = posy_interval box (compile_posy index problem.Problem.objective);
     certificate = !certificate;
     sweeps = !sweeps;
-    margin = options.margin;
   }
 
 let var_interval t v =
@@ -410,11 +409,9 @@ type summary = {
   equalities : int;
   sweeps : int;
   objective_lo : float;
-  objective_hi : float;
   never_binding : int;
   tightened : int;
   tighten_avg_pct : float;
-  bounds : (string * float * float) list;
   infeasible : certificate option;
 }
 
@@ -436,155 +433,11 @@ let summarize t =
     equalities = List.length t.problem.Problem.equalities;
     sweeps = t.sweeps;
     objective_lo = I.lo_linear t.objective;
-    objective_hi = I.hi_linear t.objective;
     never_binding =
       Array.fold_left
         (fun acc c -> if c.binding_possible then acc else acc + 1)
         0 t.constraints;
     tightened = !tightened;
     tighten_avg_pct = (if !pct_n = 0 then 0. else !pct_sum /. float_of_int !pct_n);
-    bounds =
-      Array.to_list
-        (Array.mapi
-           (fun i iv -> (t.vars.(i), I.lo_linear iv, I.hi_linear iv))
-           t.box);
     infeasible = t.certificate;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Presolve reduction                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type drop_reason = Slack | Dominated of string
-
-type reduction = {
-  analysis : t;
-  reduced : Problem.t;
-  dropped : (string * drop_reason) list;
-  kept : int;
-  total : int;
-  tightened_bounds : int;
-}
-
-let reduce (t : t) =
-  let total = List.length t.problem.Problem.inequalities in
-  if t.certificate <> None then
-    {
-      analysis = t;
-      reduced = t.problem;
-      dropped = [];
-      kept = total;
-      total;
-      tightened_bounds = 0;
-    }
-  else begin
-    let index = Hashtbl.create (Array.length t.vars * 2) in
-    Array.iteri (fun i v -> Hashtbl.replace index v i) t.vars;
-    let margin_log = log1p t.margin in
-    let cls_tbl = Hashtbl.create (Array.length t.constraints * 2) in
-    Array.iter (fun cb -> Hashtbl.replace cls_tbl cb.name cb.cls) t.constraints;
-    let classified =
-      List.map
-        (fun (name, p) ->
-          let c =
-            match Hashtbl.find_opt cls_tbl name with
-            | Some c -> c
-            | None -> fixed_budget name
-          in
-          (* Drops are judged on the narrowed box: it becomes the new
-             bounds below, so the feasible set is exactly preserved. *)
-          (name, p, c, posy_interval t.box (compile_posy index p)))
-        t.problem.Problem.inequalities
-    in
-    (* Largest constraints first, so a corner family's dominator is kept
-       before its dominated copies are considered: term count, then the
-       proven interval (a slow corner's copy of a constraint sits strictly
-       above its fast siblings, so it must be kept first for the term-wise
-       check to retire them); name order breaks remaining ties
-       deterministically. *)
-    let order =
-      List.stable_sort
-        (fun (n1, p1, _, iv1) (n2, p2, _, iv2) ->
-          let c = compare (Posy.num_terms p2) (Posy.num_terms p1) in
-          if c <> 0 then c
-          else
-            let c = compare iv2.I.hi iv1.I.hi in
-            if c <> 0 then c
-            else
-              let c = compare iv2.I.lo iv1.I.lo in
-              if c <> 0 then c else String.compare n1 n2)
-        classified
-    in
-    let base_name n =
-      match Problem.split_scenario n with Some (_, b) -> b | None -> n
-    in
-    let kept = ref [] in
-    let dropped = ref [] in
-    List.iter
-      (fun (name, p, c, iv) ->
-        let slack =
-          c.tightest < infinity
-          && iv.I.hi < -.log c.tightest -. margin_log
-        in
-        if slack then dropped := (name, Slack) :: !dropped
-        else begin
-          let dominator =
-            List.find_opt
-              (fun (kname, kp, kc, kiv) ->
-                kc.factor_class = c.factor_class
-                && ((base_name kname = base_name name && Posy.dominates kp p)
-                   || iv.I.hi <= kiv.I.lo -. improve_tol)
-                && kname <> name)
-              !kept
-          in
-          match dominator with
-          | Some (kname, _, _, _) ->
-            dropped := (name, Dominated kname) :: !dropped
-          | None -> kept := (name, p, c, iv) :: !kept
-        end)
-      order;
-    let dropped_tbl = Hashtbl.create 64 in
-    List.iter (fun (n, r) -> Hashtbl.replace dropped_tbl n r) !dropped;
-    let inequalities =
-      List.filter
-        (fun (n, _) -> not (Hashtbl.mem dropped_tbl n))
-        t.problem.Problem.inequalities
-    in
-    let tightened_bounds = ref 0 in
-    let bounds =
-      Array.to_list
-        (Array.mapi
-           (fun i iv ->
-             let s = t.seed.(i) in
-             (* Widen by the roundoff guard and clamp into the seed box,
-                so the enforced bounds are never tighter than the proof
-                supports. *)
-             let lo = Float.max s.I.lo (iv.I.lo -. improve_tol) in
-             let hi = Float.min s.I.hi (iv.I.hi +. improve_tol) in
-             if lo > s.I.lo +. improve_tol || hi < s.I.hi -. improve_tol then
-               incr tightened_bounds;
-             (t.vars.(i), exp lo, exp hi))
-           t.box)
-    in
-    let reduced =
-      Problem.make ~inequalities ~equalities:t.problem.Problem.equalities
-        ~bounds t.problem.Problem.objective
-    in
-    {
-      analysis = t;
-      reduced;
-      dropped = List.rev !dropped;
-      kept = List.length inequalities;
-      total;
-      tightened_bounds = !tightened_bounds;
-    }
-  end
-
-let drop_pct r =
-  if r.total = 0 then 0.
-  else 100. *. float_of_int (List.length r.dropped) /. float_of_int r.total
-
-let implied_by r name =
-  match List.assoc_opt name r.dropped with
-  | Some (Dominated k) -> Some k
-  | Some Slack | None -> None

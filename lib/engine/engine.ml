@@ -6,7 +6,6 @@ module Netlist = Smart_circuit.Netlist
 module Constraints = Smart_constraints.Constraints
 module Corners = Smart_corners.Corners
 module Sizer = Smart_sizer.Sizer
-module Absint = Smart_absint.Absint
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
@@ -279,21 +278,10 @@ type cache_stats = {
   capacity : int;
 }
 
-(* The cacheable product of an interval-analysis pass: the area program's
-   summary under the sizer classification plus a proven lower bound on
-   achievable delay from the min-delay program.  Plain data (Absint
-   summaries are Marshal-safe by contract), so it persists like any other
-   solve outcome. *)
-type analysis_report = {
-  area_summary : Absint.summary;
-  delay_lo_ps : float;
-}
-
 module Cache = struct
   type cached =
     | Sized of (Sizer.robust_outcome, Err.t) result
     | Min of (Sizer.min_delay, Err.t) result
-    | Analysis of analysis_report
 
   type entry = { mutable last_use : int; value : cached }
 
@@ -706,57 +694,6 @@ let minimize_delay t ?label ~options tech netlist spec =
     in
     emit t (Trace.Min_delay { label; wall_s; cache });
     r
-
-(* Pure static analysis — no GP solve, no STA.  Cached under its own tag
-   because the result depends on exactly the same structural identity as
-   a sizing (netlist wiring, spec, tech, options) but is a different
-   product.  The cache entry carries plain data only, so unlike solver
-   outcomes it also survives across binaries. *)
-let analyze t ?label ~options tech netlist spec =
-  let label = match label with Some l -> l | None -> netlist.Netlist.name in
-  match lookup t (lazy (solve_key ~tag:"absint" ~options tech netlist spec)) with
-  | _, Some (Cache.Analysis a, status) ->
-    emit t (Trace.Analysis { label; wall_s = 0.; cache = status });
-    a
-  | key, _ ->
-    let t0 = Unix.gettimeofday () in
-    let generated =
-      Constraints.generate ~reductions:options.Sizer.reductions
-        ~objective:options.Sizer.objective tech netlist spec
-    in
-    let area =
-      Absint.analyze
-        ~options:(Absint.sizer_options ~robust:false)
-        generated.Constraints.problem
-    in
-    (* The delay floor comes from the min-delay formulation: the makespan
-       variable's narrowed lower bound is a bound no solver run (and no
-       respecification loop) can beat.  Fixed-budget classification — the
-       min-delay program is solved exactly as generated. *)
-    let min_delay =
-      Constraints.generate_min_delay ~reductions:options.Sizer.reductions tech
-        netlist spec
-    in
-    let md_analysis =
-      Absint.analyze ~options:Absint.default_options
-        min_delay.Constraints.problem
-    in
-    let delay_lo_ps =
-      match Absint.var_interval md_analysis Constraints.delay_variable with
-      | Some iv -> Absint.Interval.lo_linear iv
-      | None -> 0.
-    in
-    let a = { area_summary = Absint.summarize area; delay_lo_ps } in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let cache =
-      if caching t then begin
-        publish t key (Cache.Analysis a);
-        Trace.Miss
-      end
-      else Trace.Bypass
-    in
-    emit t (Trace.Analysis { label; wall_s; cache });
-    a
 
 (* Size every named candidate across the pool.  A worker that raises
    degrades to a structured error in its slot instead of killing the

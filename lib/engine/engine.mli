@@ -7,7 +7,7 @@
     the structural identity of the request, and emits typed trace spans
     for each unit of work.  {!Smart_explore.Explore}, the CLI and the
     benches all route their sizings through an engine; a default
-    (process-global) instance backs the compatibility wrappers.
+    (process-global) instance serves callers that pass none.
 
     {b Parallelism.}  Workers are OCaml 5 domains.  The pool is only
     engaged when more than one worker is configured {e and} the runtime
@@ -15,10 +15,10 @@
     deterministic sequential loop.  Both paths preserve input order, so
     rankings are identical regardless of worker count.
 
-    {b Caching.}  Outcomes are memoized under a digest of (netlist
-    structure, size-label set, spec, tech, sizer options) — the netlist
-    {e name} is excluded, so structurally identical candidates share an
-    entry.  The cache is LRU-bounded and safe to share across worker
+    {b Caching.}  The engine memoizes sizings and min-delay solves only,
+    under a digest of (netlist structure, size-label set, spec, tech,
+    sizer options) — the netlist {e name} is excluded, so structurally
+    identical candidates share an entry.  The cache is LRU-bounded and safe to share across worker
     domains.  Only [Ok] outcomes are memoized: a transient failure (GP
     hiccup, injected fault) must not replay as a Hit on every retry, so
     an identical request after an [Error] re-runs the sizer. *)
@@ -29,7 +29,6 @@ module Netlist = Smart_circuit.Netlist
 module Constraints = Smart_constraints.Constraints
 module Corners = Smart_corners.Corners
 module Sizer = Smart_sizer.Sizer
-module Absint = Smart_absint.Absint
 
 (** {1 Instrumentation} *)
 
@@ -56,7 +55,10 @@ module Trace : sig
       }  (** one per candidate sizing routed through an engine *)
     | Min_delay of { label : string; wall_s : float; cache : cache_status }
     | Analysis of { label : string; wall_s : float; cache : cache_status }
-        (** one per interval-analysis pass routed through {!analyze} *)
+        (** no longer emitted: the engine runs no interval analysis of its
+            own (the sizer's certificate gate runs inside {!Sizing}).
+            Kept, with its {!to_string} and {!to_json} cases, for sinks
+            that still match on it. *)
     | Gp_solve of {
         wall_s : float;
         newton : int;
@@ -133,8 +135,8 @@ val create : ?workers:int -> ?cache_capacity:int -> ?sink:Trace.sink -> unit -> 
     receives this engine's {!Trace.event}s (default {!Trace.null}). *)
 
 val default : unit -> t
-(** The process-global engine behind the compatibility wrappers
-    (auto workers, 256-entry cache, null sink). *)
+(** The process-global engine used when a caller passes none (auto
+    workers, 256-entry cache, null sink). *)
 
 val workers : t -> int
 (** Effective pool width ([Domain.recommended_domain_count ()] when
@@ -235,35 +237,6 @@ val minimize_delay :
   Constraints.spec ->
   (Sizer.min_delay, Err.t) result
 (** Memoized {!Sizer.minimize_delay_typed}. *)
-
-type analysis_report = {
-  area_summary : Absint.summary;
-      (** the sizing program analyzed under
-          {!Smart_absint.Absint.sizer_options} — carries the narrowed
-          bounds, never-binding count and any infeasibility certificate *)
-  delay_lo_ps : float;
-      (** proven lower bound (ps) on the delay any sizing of this netlist
-          can reach, from the min-delay program's makespan variable — no
-          solver run can beat it *)
-}
-(** Plain data (no closures), so unlike solver outcomes a persisted entry
-    also decodes across binaries. *)
-
-val analyze :
-  t ->
-  ?label:string ->
-  options:Sizer.options ->
-  Tech.t ->
-  Netlist.t ->
-  Constraints.spec ->
-  analysis_report
-(** Memoized interval analysis ({!Smart_absint.Absint.analyze}) of a
-    netlist's sizing and min-delay programs — generation plus narrowing
-    only, never a GP solve or an STA run.  Cached under its own tag with
-    the same structural digest as sizings, so repeats are free.  Callers:
-    the daemon's interval sidecar and [smart_cli analyze]; sizing gates
-    on the sizer's own certificate check instead.  Emits one
-    {!Trace.Analysis} span. *)
 
 val size_all :
   t ->

@@ -1,7 +1,6 @@
 module Err = Smart_util.Err
 module Netlist = Smart_circuit.Netlist
 module Macro = Smart_macros.Macro
-module Database = Smart_database.Database
 module Constraints = Smart_constraints.Constraints
 module Corners = Smart_corners.Corners
 module Sizer = Smart_sizer.Sizer
@@ -244,17 +243,6 @@ let size_candidates ?engine ?options ?corners ?(hier : Hier.mode = `Off)
         rejected = List.rev rejected;
         rewrite = rewrite_summary;
       }
-
-let explore_typed ?engine ?options ?corners ?hier ?hier_options ?rewrite
-    ?(metric = Area) ~db ~kind ~requirements tech spec =
-  let built = Database.build_all db ~kind requirements in
-  if built = [] then Error (Err.No_applicable_topology { kind })
-  else
-    size_candidates ?engine ?options ?corners ?hier ?hier_options ?rewrite
-      ~metric tech spec
-      (List.map
-         (fun ((e : Database.entry), info) -> (e.Database.entry_name, info))
-         built)
 
 let tune_typed ?engine ?options ?corners ?hier ?hier_options ?rewrite
     ?(metric = Area) ~variants tech spec =

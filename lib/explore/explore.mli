@@ -1,11 +1,12 @@
 (** Topology exploration and comparison — the outer loop of Figure 1 and
     the §6.3 experiment.
 
-    Given an instance's requirements, every applicable database topology is
-    generated, sized by the SMART sizer against the same constraints, and
-    scored under a designer-chosen cost metric (area, power, clock load).
-    SMART "can automatically pick the best solution ... or let the designer
-    make his/her own choice": {!explore_typed} returns the full ranking.
+    Every applicable database topology of an instance (the menu
+    [Smart.run] builds) is sized by the SMART sizer against the same
+    constraints and scored under a designer-chosen cost metric (area,
+    power, clock load).  SMART "can automatically pick the best solution
+    ... or let the designer make his/her own choice": {!tune_typed}
+    returns the full ranking.
 
     With [?rewrite:(`Saturate budget)], every candidate netlist also
     seeds {!Smart_rewrite.Rewrite} equality saturation, and the extracted
@@ -64,42 +65,6 @@ type ranking = {
       (** present iff the request asked for [`Saturate] *)
 }
 
-val explore_typed :
-  ?engine:Smart_engine.Engine.t ->
-  ?options:Smart_sizer.Sizer.options ->
-  ?corners:Smart_corners.Corners.set ->
-  ?hier:Smart_hier.Hier.mode ->
-  ?hier_options:Smart_hier.Hier.options ->
-  ?rewrite:rewrite_mode ->
-  ?metric:metric ->
-  db:Smart_database.Database.t ->
-  kind:string ->
-  requirements:Smart_database.Database.requirements ->
-  Smart_tech.Tech.t ->
-  Smart_constraints.Constraints.spec ->
-  (ranking, Smart_util.Err.t) result
-(** Size every applicable topology and rank by [metric] (default [Area]).
-    Candidates are evaluated through [engine] (default: the process
-    engine) — fanned across its worker pool and memoized in its solve
-    cache; rankings are identical at any pool width.  With [corners],
-    every candidate is jointly sized over the corner set
-    ({!Smart_engine.Engine.size_robust_all}) and ranked by its
-    worst-corner cost — under the [Power] metric, the maximum estimate
-    over the corners' technologies — so a topology that only wins at
-    typical cannot top the ranking.  [Error] is
-    {!Smart_util.Err.No_applicable_topology} when pruning leaves nothing,
-    or {!Smart_util.Err.Infeasible_spec} when no candidate can meet the
-    specification.  [hier] (default [`Off]) routes candidates that
-    {!Smart_hier.Hier.engages} through hierarchical sizing; such
-    candidates run sequentially, each fanning its own sub-problems across
-    the engine pool, with trace spans labelled per candidate
-    (["hier:<name>/<unit>"]).  [hier_options] tunes that routing (its
-    [sizer] field is overridden with the effective sizer options).
-    Ignored when [corners] is set — robust sizing stays monolithic.
-    [rewrite] (default [`Off]) expands the menu by equality saturation;
-    the ranking's [rewrite] field reports what was generated, skipped
-    and lint-dropped. *)
-
 type sweep = {
   sweep_curve : (float * float) list;
       (** [(delay target, total width)], fastest target first *)
@@ -143,7 +108,29 @@ val tune_typed :
   Smart_tech.Tech.t ->
   Smart_constraints.Constraints.spec ->
   (ranking, Smart_util.Err.t) result
-(** Compare explicit structural variants of one macro (the topology
-    optimizer): each is sized against the same spec and ranked.
-    [Error Invalid_request] on an empty variant list.  Accepts the same
-    [rewrite] expansion as {!explore_typed}. *)
+(** Size every named candidate in [variants] against one spec and rank
+    by [metric] (default [Area]).  The candidates are either a database
+    menu — [Smart.run] builds the applicable topologies once and passes
+    them here — or explicit structural variants of one macro (the
+    topology optimizer).  Candidates are evaluated through [engine]
+    (default: the process engine) — fanned across its worker pool and
+    memoized in its solve cache; rankings are identical at any pool
+    width.  With [corners], every candidate is jointly sized over the
+    corner set ({!Smart_engine.Engine.size_robust_all}) and ranked by its
+    worst-corner cost — under the [Power] metric, the maximum estimate
+    over the corners' technologies — so a topology that only wins at
+    typical cannot top the ranking.  [Error] is
+    {!Smart_util.Err.Invalid_request} on an empty variant list, or
+    {!Smart_util.Err.Infeasible_spec} when no candidate can meet the
+    specification; [Smart.run] answers
+    {!Smart_util.Err.No_applicable_topology} itself when pruning leaves
+    an empty menu.  [hier] (default [`Off]) routes candidates that
+    {!Smart_hier.Hier.engages} through hierarchical sizing; such
+    candidates run sequentially, each fanning its own sub-problems across
+    the engine pool, with trace spans labelled per candidate
+    (["hier:<name>/<unit>"]).  [hier_options] tunes that routing (its
+    [sizer] field is overridden with the effective sizer options).
+    Ignored when [corners] is set — robust sizing stays monolithic.
+    [rewrite] (default [`Off]) expands the candidates by equality
+    saturation; the ranking's [rewrite] field reports what was
+    generated, skipped and lint-dropped. *)

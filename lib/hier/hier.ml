@@ -708,9 +708,9 @@ let make_tasks ctx (spec : Constraints.spec) units ~sizing
      load/slope fixed point.  The floor is a FRACTION of one FO4: a
      shallow unit (one lightly loaded gate) legitimately runs well under
      FO4, and a full-FO4 floor would freeze a deep datapath's global
-     delay at path_depth x FO4 regardless of the target.  Truly
-     infeasible budgets surface as [Infeasible_spec] and are relaxed by
-     the solve-retry loop instead. *)
+     delay at path_depth x FO4 regardless of the target.  A budget the
+     golden timer cannot confirm is relaxed by the solve-retry loop
+     instead. *)
   let fo4 = Tech.fo4_delay ctx.tech in
   let floor_ps = 0.2 *. fo4 in
   (* Budgets get a grid 8x finer than boundary caps and slopes: the
@@ -812,10 +812,13 @@ let sub_spec (spec : Constraints.spec) t ~budget =
     pinned = t.t_pinned;
   }
 
-(* Solve one group's representative, relaxing an infeasible budget a few
-   times (a self-normalized budget is feasible by construction at factor
-   one, but a tightened one can cross a unit's intrinsic wall; relaxation
-   re-keys the boundary digest automatically). *)
+(* Solve one group's representative.  A golden-timer disagreement is
+   retried at a relaxed budget (x1.35, at most twice): a self-normalized
+   budget is feasible by construction at factor one, but a tightened one
+   can cross a unit's intrinsic wall, and relaxation re-keys the boundary
+   digest automatically.  [Infeasible_spec] is final: [sub_spec] changes
+   only the unit's target, and the sizer's certificate never reads a
+   timing budget, so a relaxed retry fails on the same proof. *)
 let solve_group engine (opts : options) ctx spec group =
   let rep = List.hd group in
   let sub = rep.t_sub in
@@ -827,7 +830,7 @@ let solve_group engine (opts : options) ctx spec group =
     in
     match r with
     | Ok o -> Ok (o, tries + 1)
-    | Error (Err.Infeasible_spec _ | Err.Sta_disagreement _) when tries < 2 ->
+    | Error (Err.Sta_disagreement _) when tries < 2 ->
       attempt (budget *. 1.35) (tries + 1)
     | Error e -> Error (e, tries + 1)
   in
@@ -1078,8 +1081,7 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
           results
       with
       | Some (Err.Infeasible_spec { detail; _ }) ->
-        (* A unit infeasible even at its relaxed budget makes the
-           caller's target infeasible. *)
+        (* An infeasible unit makes the caller's target infeasible. *)
         Error (Err.Infeasible_spec { target_ps = target; detail })
       | Some e -> Error e
       | None ->

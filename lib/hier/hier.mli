@@ -124,9 +124,9 @@ val size :
     so batch callers keep per-candidate span attribution — the parity
     {!Smart_explore.Explore} relies on.
     Callers gate on {!engages}; [size] itself always decomposes.
-    Errors: a sub-problem infeasible even after budget relaxation —
-    including one its sizer certifies infeasible before any GP solve —
-    surfaces as {!Smart_util.Err.Infeasible_spec} against [spec]'s
-    target; an outer loop that exhausts 12 outer iterations without the
-    golden timer confirming the target is
+    Errors: an infeasible sub-problem — including one its sizer
+    certifies infeasible before any GP solve — surfaces as
+    {!Smart_util.Err.Infeasible_spec} against [spec]'s target, without a
+    relaxed retry; an outer loop that exhausts 12 outer iterations
+    without the golden timer confirming the target is
     {!Smart_util.Err.Sta_disagreement}. *)

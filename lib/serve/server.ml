@@ -83,12 +83,10 @@ let advise t (req : Wire.Request.t) =
       | Ok advice ->
         let after = Engine.cache_stats t.engine in
         let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        (* Static-analysis sidecar: every unwaived lint finding, plus the
-           winner's interval-analysis bound notes (memoized in the solve
-           cache, so repeats cost a lookup).  Lines, not structure — the
-           wire field is for humans and logs; structured data stays in
-           the advice payload. *)
-        let lint_lines =
+        (* Lint sidecar: every unwaived lint finding of the menu.  Lines,
+           not structure — the wire field is for humans and logs;
+           structured data stays in the advice payload. *)
+        let diagnostics =
           List.concat_map
             (fun (rep : Smart.Lint.report) ->
               List.filter_map
@@ -101,34 +99,8 @@ let advise t (req : Wire.Request.t) =
                 rep.Smart.Lint.diags)
             advice.Smart.lints
         in
-        let absint_lines =
-          if not library_req.Smart.Request.options.Smart.Sizer.absint then []
-          else
-            try
-              let winner = advice.Smart.ranking.Smart.Explore.winner in
-              let a =
-                Engine.analyze t.engine
-                  ~label:winner.Smart.Explore.entry_name
-                  ~options:library_req.Smart.Request.options
-                  library_req.Smart.Request.tech
-                  winner.Smart.Explore.info.Smart.Macro.netlist
-                  library_req.Smart.Request.spec
-              in
-              let s = a.Engine.area_summary in
-              [
-                Printf.sprintf
-                  "absint: %s delay floor %.1f ps (target %.1f ps); %d/%d \
-                   constraints never bind"
-                  winner.Smart.Explore.entry_name a.Engine.delay_lo_ps
-                  library_req.Smart.Request.spec
-                    .Smart.Constraints.target_delay
-                  s.Smart.Absint.never_binding s.Smart.Absint.inequalities;
-              ]
-            with _ -> []
-        in
         Wire.Response.ok ?id:req.Wire.Request.id
-          ~cache:(cache_label ~before ~after) ~wall_ms
-          ~diagnostics:(lint_lines @ absint_lines)
+          ~cache:(cache_label ~before ~after) ~wall_ms ~diagnostics
           (Wire.Advice.of_advice advice)))
 
 let dispatch t (req : Wire.Request.t) =

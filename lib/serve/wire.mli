@@ -168,11 +168,10 @@ module Response : sig
             ["solved"] (approximate under concurrent load) *)
     wall_ms : float option;
     diagnostics : string list;
-        (** human-readable static-analysis lines (lint findings,
-            interval-analysis bound notes) attached to the response.
-            Omitted from the wire when empty, and an absent field
-            decodes as [[]] — a v1 peer on either side of the field's
-            introduction interoperates unchanged. *)
+        (** human-readable lint findings, one line each, attached to
+            the response.  Omitted from the wire when empty, and an
+            absent field decodes as [[]] — a v1 peer on either side of
+            the field's introduction interoperates unchanged. *)
     payload : payload;
   }
 

@@ -1,7 +1,6 @@
 (* Smart_absint tests: the interval domain, the soundness gauntlet
    (intervals must enclose every solved optimum and never certify a
-   feasible program), presolve equivalence (the reduced program advises
-   identically), and the engine fast-fail regression (a certified
+   feasible program), and the engine fast-fail regression (a certified
    infeasible spec is rejected before any GP solve runs). *)
 
 module Smart = Smart_core.Smart
@@ -14,7 +13,6 @@ module Sta = Smart.Sta
 module Tech = Smart.Tech
 module Sizer = Smart.Sizer
 module Engine = Smart.Engine
-module Corners = Smart.Corners
 module Err = Smart_util.Err
 
 let tech = Tech.default
@@ -120,74 +118,6 @@ let test_soundness_gauntlet () =
     soundness_one ~gates:10 seed
   done
 
-(* ---------------- presolve equivalence ---------------- *)
-
-let rel_diff a b = abs_float (a -. b) /. max 1e-30 (max (abs_float a) (abs_float b))
-
-let solve_optimal name problem =
-  match Gp.solve problem with
-  | Error e -> Alcotest.failf "%s: solve failed: %s" name e
-  | Ok sol ->
-    if sol.Gp.status <> Gp.Optimal then Alcotest.failf "%s: not Optimal" name;
-    sol
-
-(* The reduced program must advise identically: same objective value and
-   the same sizing, to solver tolerance. *)
-let assert_reduction_equivalent name (problem : Smart.Gp_problem.t) =
-  let a = Absint.analyze problem in
-  checkb (name ^ ": no certificate") true (a.Absint.certificate = None);
-  let red = Absint.reduce a in
-  let full = solve_optimal (name ^ " full") problem in
-  let small = solve_optimal (name ^ " reduced") red.Absint.reduced in
-  let obj_diff = rel_diff full.Gp.objective_value small.Gp.objective_value in
-  checkb
-    (Printf.sprintf "%s: objective within 1e-6 (rel diff %.3g)" name obj_diff)
-    true (obj_diff <= 1e-6);
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (n, v) -> Hashtbl.replace tbl n v) small.Gp.values;
-  List.iter
-    (fun (n, v) ->
-      match Hashtbl.find_opt tbl n with
-      | None -> Alcotest.failf "%s: reduced program lost variable %s" name n
-      | Some v' ->
-        if rel_diff v v' > 1e-4 then
-          Alcotest.failf "%s: %s diverged %.8g vs %.8g" name n v v')
-    full.Gp.values;
-  red
-
-let test_presolve_adder64 () =
-  let nl = (Smart.Cla_adder.generate ~bits:64 ()).Smart.Macro.netlist in
-  let g = C.generate tech nl (C.spec 400.) in
-  let red = assert_reduction_equivalent "adder64" g.C.problem in
-  checki "names preserved" red.Absint.total
-    (List.length red.Absint.dropped + red.Absint.kept)
-
-(* 3-corner merged rot4: cross-corner dominance must retire a material
-   slice of the merged constraint set — the BENCH_absint acceptance
-   criterion, pinned here as a regression. *)
-let test_presolve_rot4_merged () =
-  let nl = (Smart.Shifter.generate ~bits:4 ()).Smart.Macro.netlist in
-  let m =
-    Corners.generate_robust (Corners.default_set ()) nl (C.spec 400.)
-  in
-  let red =
-    assert_reduction_equivalent "rot4 merged" m.Corners.generated.C.problem
-  in
-  let pct = Absint.drop_pct red in
-  checkb
-    (Printf.sprintf "merged 3-corner drop >= 10%% (got %.1f%%)" pct)
-    true (pct >= 10.);
-  (* Every drop is explainable in original terms. *)
-  List.iter
-    (fun (n, reason) ->
-      match reason with
-      | Absint.Slack -> ()
-      | Absint.Dominated _ -> (
-        match Absint.implied_by red n with
-        | Some _ -> ()
-        | None -> Alcotest.failf "dropped %s has no implied_by witness" n))
-    red.Absint.dropped
-
 (* ---------------- fast-fail regression ---------------- *)
 
 (* Run [f] with the process-wide tracepoint stream (where the solver
@@ -244,13 +174,31 @@ let test_fast_fail_smart_run () =
   check_fast_fail "Smart.run" ~target_ps:400. (gp_solves (fun () -> Smart.run r))
 
 (* Hierarchical sizing: a certified sub-problem fails the whole sizing,
-   reported against the caller's target, not the unit's budget. *)
+   reported against the caller's target, not the unit's budget.  The
+   certificate never reads the unit's budget, so each unit is sized once:
+   no relaxed retry. *)
 let test_fast_fail_hier () =
   let nl = (Smart.Datapath.generate ()).Smart.Macro.netlist in
+  let sink, events = Engine.Trace.memory () in
   check_fast_fail "Hier.size" ~target_ps:2000.
     (gp_solves (fun () ->
-         Smart.Hier.size ~engine:(Engine.create ~workers:1 ()) tech nl
-           (C.spec ~max_slope:1e-4 2000.)))
+         Smart.Hier.size ~engine:(Engine.create ~workers:1 ~sink ()) tech nl
+           (C.spec ~max_slope:1e-4 2000.)));
+  let labels =
+    List.filter_map
+      (function
+        | Engine.Trace.Sizing { label; _ }
+          when String.starts_with ~prefix:"hier:" label ->
+          Some label
+        | _ -> None)
+      (events ())
+  in
+  checkb "hier: sizing spans emitted" true (labels <> []);
+  List.iter
+    (fun l ->
+      checki (l ^ ": sized once") 1
+        (List.length (List.filter (String.equal l) labels)))
+    labels
 
 (* The infeasibility helper renders the same certificate the analysis
    carries, as a structured error. *)
@@ -280,11 +228,6 @@ let () =
         ] );
       ( "soundness",
         [ Alcotest.test_case "gauntlet" `Slow test_soundness_gauntlet ] );
-      ( "presolve",
-        [
-          Alcotest.test_case "adder64 equivalence" `Slow test_presolve_adder64;
-          Alcotest.test_case "rot4 merged drop" `Slow test_presolve_rot4_merged;
-        ] );
       ( "fast-fail",
         [
           Alcotest.test_case "no gp.solve span" `Quick test_fast_fail_no_gp_solve;

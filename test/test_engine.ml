@@ -23,9 +23,12 @@ let fingerprint (r : Explore.ranking) =
     r.Explore.ranked
 
 let explore_with engine ~kind ~bits ~delay =
-  let db = Db.builtins () in
-  let req = Db.requirements ~ext_load:25. bits in
-  Explore.explore_typed ~engine ~db ~kind ~requirements:req tech (C.spec delay)
+  let variants =
+    List.map
+      (fun ((e : Db.entry), info) -> (e.Db.entry_name, info))
+      (Db.build_all (Db.builtins ()) ~kind (Db.requirements ~ext_load:25. bits))
+  in
+  Explore.tune_typed ~engine ~variants tech (C.spec delay)
 
 (* (a) A 4-wide pool must produce exactly the sequential ranking — same
    order, same bit-identical scores, same rejections — on both the mux

@@ -11,12 +11,18 @@ module Tech = Smart_tech.Tech
 let tech = Tech.default
 let checkb msg = Alcotest.(check bool) msg
 
+(* The advise menu: every applicable database topology, named as
+   [Smart.run] names it. *)
+let menu ~kind req =
+  List.map
+    (fun ((e : Db.entry), info) -> (e.Db.entry_name, info))
+    (Db.build_all (Db.builtins ()) ~kind req)
+
 let test_explore_ranks_by_metric () =
-  let db = Db.builtins () in
   let req = Db.requirements ~ext_load:25. 4 in
   match
-    Explore.explore_typed ~metric:Explore.Area ~db ~kind:"mux" ~requirements:req tech
-      (C.spec 150.)
+    Explore.tune_typed ~metric:Explore.Area ~variants:(menu ~kind:"mux" req)
+      tech (C.spec 150.)
   with
   | Error e -> Alcotest.fail (Smart_util.Err.to_string e)
   | Ok r ->
@@ -34,11 +40,10 @@ let test_explore_ranks_by_metric () =
       r.Explore.ranked
 
 let test_explore_reports_rejections () =
-  let db = Db.builtins () in
   let req = Db.requirements ~ext_load:25. 4 in
   (* A hard target: some topologies cannot make it and must be listed. *)
   match
-    Explore.explore_typed ~db ~kind:"mux" ~requirements:req tech (C.spec 40.)
+    Explore.tune_typed ~variants:(menu ~kind:"mux" req) tech (C.spec 40.)
   with
   | Error _ -> () (* all rejected: acceptable at this target *)
   | Ok r ->
@@ -46,21 +51,20 @@ let test_explore_reports_rejections () =
       (List.length r.Explore.ranked + List.length r.Explore.rejected >= 4)
 
 let test_explore_unknown_kind () =
-  let db = Db.builtins () in
   checkb "no candidates error" true
     (match
-       Explore.explore_typed ~db ~kind:"fifo" ~requirements:(Db.requirements 4) tech
-         (C.spec 100.)
+       Smart_core.Smart.run
+         (Smart_core.Smart.Request.make ~spec:(C.spec 100.) ~kind:"fifo" ~bits:4
+            ())
      with
-    | Error _ -> true
-    | Ok _ -> false)
+    | Error (Smart_util.Err.No_applicable_topology _) -> true
+    | Error _ | Ok _ -> false)
 
 let test_metric_changes_winner_score () =
-  let db = Db.builtins () in
-  let req = Db.requirements ~ext_load:25. 8 in
+  let variants = menu ~kind:"mux" (Db.requirements ~ext_load:25. 8) in
   let spec = C.spec 160. in
-  let area = Explore.explore_typed ~metric:Explore.Area ~db ~kind:"mux" ~requirements:req tech spec in
-  let power = Explore.explore_typed ~metric:Explore.Power ~db ~kind:"mux" ~requirements:req tech spec in
+  let area = Explore.tune_typed ~metric:Explore.Area ~variants tech spec in
+  let power = Explore.tune_typed ~metric:Explore.Power ~variants tech spec in
   match (area, power) with
   | Ok a, Ok p ->
     checkb "scores measured in different units" true

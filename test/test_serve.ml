@@ -1,6 +1,7 @@
 (* Serve subsystem tests: wire-codec round trips (property-based),
    malformed-input hardening, the persistent solve cache across an engine
-   "restart", and the serve.worker crash drill. *)
+   "restart", the advise path's engine work, and the serve.worker crash
+   drill. *)
 
 module Engine = Smart_engine.Engine
 module Err = Smart_util.Err
@@ -359,6 +360,32 @@ let test_store_stamp_invalidation () =
   checkb "malformed key rejected without I/O" true
     (Store.find s1 "../../etc/passwd" = None)
 
+(* ---------------- no interval analysis per advise ---------------- *)
+
+(* A served advise sizes its menu and runs no interval analysis of its
+   own: the sizer's certificate gate runs inside each sizing, and the
+   response carries no [absint:] diagnostics line. *)
+let test_advise_runs_no_analysis () =
+  let sink, events = Engine.Trace.memory () in
+  let server =
+    Server.create ~workers:1 ~engine:(Engine.create ~workers:1 ~sink ()) ()
+  in
+  let line = Server.handle_line server advise_line in
+  Server.shutdown server;
+  let diagnostics =
+    match Wire.Response.of_line line with
+    | Ok { Wire.Response.payload = Wire.Response.Advice _; diagnostics; _ } ->
+      diagnostics
+    | _ -> Alcotest.fail ("expected advice, got: " ^ line)
+  in
+  let count p = List.length (List.filter p (events ())) in
+  Alcotest.(check int) "no analysis event" 0
+    (count (function Engine.Trace.Analysis _ -> true | _ -> false));
+  checkb "sizing events" true
+    (count (function Engine.Trace.Sizing _ -> true | _ -> false) > 0);
+  checkb "no absint: diagnostics line" false
+    (List.exists (String.starts_with ~prefix:"absint:") diagnostics)
+
 (* ---------------- crash drill ---------------- *)
 
 let test_worker_crash_drill () =
@@ -434,5 +461,7 @@ let () =
             test_worker_crash_drill;
           Alcotest.test_case "refusal after shutdown" `Quick
             test_submit_after_shutdown_is_structured;
+          Alcotest.test_case "advise runs no interval analysis" `Quick
+            test_advise_runs_no_analysis;
         ] );
     ]
