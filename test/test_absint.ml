@@ -1,6 +1,7 @@
 (* Smart_absint tests: the interval domain, the soundness gauntlet
    (intervals must enclose every solved optimum and never certify a
-   feasible program), and the engine fast-fail regression (a certified
+   feasible program), the summary [smart_cli analyze] reports, and the
+   engine fast-fail regression (a certified
    infeasible spec is rejected before any GP solve runs). *)
 
 module Smart = Smart_core.Smart
@@ -118,6 +119,37 @@ let test_soundness_gauntlet () =
     soundness_one ~gates:10 seed
   done
 
+(* ---------------- summary ---------------- *)
+
+(* [summarize] is the report [smart_cli analyze] prints: its counts must
+   agree with the analysis they summarize, and its area floor must lie
+   under the solved optimum of the same program. *)
+let test_summary_counts () =
+  let nl = (Smart.Cla_adder.generate ~bits:16 ()).Smart.Macro.netlist in
+  let problem = (C.generate tech nl (C.spec 400.)).C.problem in
+  let a = Absint.analyze ~options:(Absint.sizer_options ~robust:false) problem in
+  let s = Absint.summarize a in
+  checki "variables" (Array.length a.Absint.vars) s.Absint.variables;
+  checki "inequalities" (Array.length a.Absint.constraints)
+    s.Absint.inequalities;
+  checki "never-binding"
+    (Array.fold_left
+       (fun n c -> if c.Absint.binding_possible then n else n + 1)
+       0 a.Absint.constraints)
+    s.Absint.never_binding;
+  checki "sweeps" a.Absint.sweeps s.Absint.sweeps;
+  checkb "sweeps within the cap of 8" true
+    (s.Absint.sweeps >= 1 && s.Absint.sweeps <= 8);
+  checkb "no certificate" true (s.Absint.infeasible = None);
+  match Gp.solve problem with
+  | Ok sol when sol.Gp.status = Gp.Optimal ->
+    checkb
+      (Printf.sprintf "area floor %.6g under optimum %.6g"
+         s.Absint.objective_lo sol.Gp.objective_value)
+      true
+      (s.Absint.objective_lo <= sol.Gp.objective_value *. (1. +. 1e-6))
+  | Ok _ | Error _ -> Alcotest.fail "adder16 at 400 ps did not solve Optimal"
+
 (* ---------------- fast-fail regression ---------------- *)
 
 (* Run [f] with the process-wide tracepoint stream (where the solver
@@ -228,6 +260,8 @@ let () =
         ] );
       ( "soundness",
         [ Alcotest.test_case "gauntlet" `Slow test_soundness_gauntlet ] );
+      ( "summary",
+        [ Alcotest.test_case "counts and area floor" `Quick test_summary_counts ] );
       ( "fast-fail",
         [
           Alcotest.test_case "no gp.solve span" `Quick test_fast_fail_no_gp_solve;

@@ -60,6 +60,30 @@ let test_explore_unknown_kind () =
     | Error (Smart_util.Err.No_applicable_topology _) -> true
     | Error _ | Ok _ -> false)
 
+(* [Smart.run] sizes the menu these tests build by hand: from the same
+   requirements it ranks the same names in the same order, with
+   bit-identical scores. *)
+let test_menu_matches_run () =
+  let req = Db.requirements ~ext_load:25. 4 in
+  let spec = C.spec 150. in
+  let fingerprint (r : Explore.ranking) =
+    List.map
+      (fun (c : Explore.candidate) ->
+        (c.Explore.entry_name, Int64.bits_of_float c.Explore.score))
+      r.Explore.ranked
+  in
+  match
+    ( Explore.tune_typed ~hier:`Auto ~variants:(menu ~kind:"mux" req) tech spec,
+      Smart_core.Smart.run
+        (Smart_core.Smart.Request.make ~ext_load:25. ~spec ~lint:`Off
+           ~kind:"mux" ~bits:4 ()) )
+  with
+  | Ok r, Ok advice ->
+    checkb "menu sized" true (r.Explore.ranked <> []);
+    checkb "same ranking as Smart.run" true
+      (fingerprint r = fingerprint advice.Smart_core.Smart.ranking)
+  | Error e, _ | _, Error e -> Alcotest.fail (Smart_util.Err.to_string e)
+
 let test_metric_changes_winner_score () =
   let variants = menu ~kind:"mux" (Db.requirements ~ext_load:25. 8) in
   let spec = C.spec 160. in
@@ -199,6 +223,7 @@ let () =
           Alcotest.test_case "ranking" `Quick test_explore_ranks_by_metric;
           Alcotest.test_case "rejections" `Quick test_explore_reports_rejections;
           Alcotest.test_case "unknown kind" `Quick test_explore_unknown_kind;
+          Alcotest.test_case "menu matches Smart.run" `Quick test_menu_matches_run;
           Alcotest.test_case "metric switch" `Quick test_metric_changes_winner_score;
         ] );
       ( "tools",
