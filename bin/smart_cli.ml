@@ -522,10 +522,10 @@ let analyze_cmd =
     | Error e -> report_error ~cmd:"analyze" e
     | Ok info ->
       let nl = info.Smart.Macro.netlist in
-      let spec = Smart.Constraints.spec delay in
-      let problem =
-        (Smart.Constraints.generate tech nl spec).Smart.Constraints.problem
+      let generated =
+        Smart.Constraints.generate tech nl (Smart.Constraints.spec delay)
       in
+      let problem = generated.Smart.Constraints.problem in
       let s =
         Smart.Absint.summarize
           (Smart.Absint.analyze
@@ -536,7 +536,7 @@ let analyze_cmd =
          makespan variable's narrowed lower bound is a bound no solver run
          (and no respecification loop) can beat. *)
       let delay_lo_ps =
-        let md = Smart.Constraints.generate_min_delay tech nl spec in
+        let md = Smart.Constraints.min_delay_of generated ~target:delay in
         match
           Smart.Absint.var_interval
             (Smart.Absint.analyze md.Smart.Constraints.problem)

@@ -1,4 +1,3 @@
-module Err = Smart_util.Err
 module Netlist = Smart_circuit.Netlist
 module Cell = Smart_circuit.Cell
 module Family = Smart_circuit.Family
@@ -46,17 +45,8 @@ type result = {
    candidate are those sharing the candidate's rarest term — an inverted
    index on exponent vectors finds them directly.  Same kept set as the
    all-pairs scan (no false negatives: a dominator contains the chosen
-   term too), but near-linear instead of quadratic in the group size.
-
-   With [rc_scales] the generated program stands in for a whole corner
-   set (the caller projects it per corner afterwards), so a constraint
-   may only be dropped when it is dominated at every scale. *)
-let prune_dominated ?rc_scales constraints =
-  let dominates =
-    match rc_scales with
-    | None -> Posy.dominates
-    | Some scales -> Posy.dominates_at ~scales
-  in
+   term too), but near-linear instead of quadratic in the group size. *)
+let prune_dominated constraints =
   let sorted =
     List.sort
       (fun (_, p) (_, q) -> compare (Posy.num_terms q) (Posy.num_terms p))
@@ -96,7 +86,7 @@ let prune_dominated ?rc_scales constraints =
       let dominated =
         match rarest with
         | None -> false
-        | Some b -> List.exists (fun k -> dominates k p) b.B.items
+        | Some b -> List.exists (fun k -> Posy.dominates k p) b.B.items
       in
       if dominated then incr dropped
       else begin
@@ -145,8 +135,7 @@ let objective_posy objective netlist =
 (* Enumerate the transition-sense chains a path supports; each chain is one
    timing constraint.  Control arcs fork (§5.3's four pass-gate
    constraints); domino eval arcs filter chains to rising. *)
-let sense_chains (netlist : Netlist.t) (p : Paths.path) =
-  ignore netlist;
+let sense_chains (p : Paths.path) =
   let max_chains = 64 in
   let initial =
     match p.Paths.steps with
@@ -178,8 +167,8 @@ let sense_chains (netlist : Netlist.t) (p : Paths.path) =
 
 let delay_variable = "delay$"
 
-let generate_internal ?rc_scales ~reductions ~budget ~objective_override
-    ~objective tech netlist spec =
+let generate ?(reductions = Paths.all_reductions) ?(objective = Area) tech
+    netlist spec =
   let classes = Paths.classes ~reductions netlist in
   let paths, _stats = Paths.extract ~reductions netlist in
   let loads = Load.make tech netlist in
@@ -259,24 +248,32 @@ let generate_internal ?rc_scales ~reductions ~budget ~objective_override
         Hashtbl.replace slope_memo cls p;
         p)
   in
-  let step_delay (step : Paths.step) ~in_sense ~out_sense =
-    ignore in_sense;
-    let i = step.Paths.s_inst in
-    let in_slope =
-      if step.Paths.s_pin = "clk" then Posy.const (input_slope /. 2.)
-      else slope_expr (List.assoc step.Paths.s_pin i.Netlist.conns)
-    in
-    Delay.stage_delay tech i.Netlist.cell ~pin:step.Paths.s_pin ~out_sense
-      ~load:(Load.symbolic loads i.Netlist.out)
-      ~in_slope
+  (* A stage's delay depends on its instance, entry pin and output sense
+     only, and many paths share each stage: build it once. *)
+  let stage_memo : (int * string * Arc.sense, Posy.t) Hashtbl.t =
+    Hashtbl.create 256
   in
-  (* A path (or path-prefix) budget: the full evaluate budget times [mult].
-     In min-delay mode the budget is the makespan variable itself. *)
+  let step_delay (step : Paths.step) out_sense =
+    let i = step.Paths.s_inst in
+    let key = (i.Netlist.inst_id, step.Paths.s_pin, out_sense) in
+    match Hashtbl.find_opt stage_memo key with
+    | Some d -> d
+    | None ->
+      let in_slope =
+        if step.Paths.s_pin = "clk" then Posy.const (input_slope /. 2.)
+        else slope_expr (List.assoc step.Paths.s_pin i.Netlist.conns)
+      in
+      let d =
+        Delay.stage_delay tech i.Netlist.cell ~pin:step.Paths.s_pin ~out_sense
+          ~load:(Load.symbolic loads i.Netlist.out)
+          ~in_slope
+      in
+      Hashtbl.replace stage_memo key d;
+      d
+  in
+  (* A path (or path-prefix) budget: the full evaluate budget times [mult]. *)
   let div_budget total mult =
-    match budget with
-    | `Const t -> Posy.div_monomial total (Monomial.const (t *. mult))
-    | `Var ->
-      Posy.div_monomial total (Monomial.scale mult (Monomial.var delay_variable))
+    Posy.div_monomial total (Monomial.const (spec.target_delay *. mult))
   in
   (* Timing constraints: one per path per sense chain. *)
   let timing = ref [] in
@@ -285,12 +282,12 @@ let generate_internal ?rc_scales ~reductions ~budget ~objective_override
   let n_stage = ref 0 in
   List.iteri
     (fun pi (p : Paths.path) ->
-      let chains = sense_chains netlist p in
+      let chains = sense_chains p in
       List.iteri
         (fun ci chain ->
           let delays =
             List.map2
-              (fun step (in_sense, out_sense) -> step_delay step ~in_sense ~out_sense)
+              (fun step (_, out_sense) -> step_delay step out_sense)
               p.Paths.steps chain
           in
           let total = Posy.sum delays in
@@ -330,7 +327,6 @@ let generate_internal ?rc_scales ~reductions ~budget ~objective_override
      class-representative domino stages. *)
   let slope = ref [] in
   let precharge = ref [] in
-  let n_slope = ref 0 in
   let n_pre = ref 0 in
   List.iter
     (fun rep ->
@@ -339,7 +335,6 @@ let generate_internal ?rc_scales ~reductions ~budget ~objective_override
       | Netlist.Primary_input | Netlist.Clock -> ()
       | Netlist.Primary_output | Netlist.Internal ->
         let cls = Paths.class_of_net classes rep in
-        incr n_slope;
         slope :=
           ( Printf.sprintf "s:c%d" cls,
             Posy.div_monomial (slope_expr rep) (Monomial.const max_slope) )
@@ -399,8 +394,6 @@ let generate_internal ?rc_scales ~reductions ~budget ~objective_override
               (Arc.arcs_of i.Netlist.cell))
           (Netlist.drivers netlist rep))
     (Paths.class_reps classes);
-  ignore !n_slope;
-  ignore !n_pre;
   (* Bounds: device sizes only — slopes are closed-form expressions.
      Designer-pinned labels get equality-tight bounds (§2: manual control
      of portions of the macro). *)
@@ -415,26 +408,15 @@ let generate_internal ?rc_scales ~reductions ~budget ~objective_override
         | None -> (l, tech.Tech.w_min, tech.Tech.w_max))
       (Netlist.labels netlist)
   in
-  let slope_bounds = [] in
-  let extra_bounds =
-    match budget with `Const _ -> [] | `Var -> [ (delay_variable, 1., 1e6) ]
-  in
-  let obj =
-    match objective_override with
-    | Some p -> p
-    | None -> objective_posy objective netlist
-  in
-  let timing_kept, dropped_t = prune_dominated ?rc_scales (List.rev !timing) in
-  let stage_kept, dropped_s = prune_dominated ?rc_scales (List.rev !stage) in
-  let slope_kept, dropped_sl = prune_dominated ?rc_scales (List.rev !slope) in
-  let precharge_kept, dropped_p =
-    prune_dominated ?rc_scales (List.rev !precharge)
-  in
+  let timing_kept, dropped_t = prune_dominated (List.rev !timing) in
+  let stage_kept, dropped_s = prune_dominated (List.rev !stage) in
+  let slope_kept, dropped_sl = prune_dominated (List.rev !slope) in
+  let precharge_kept, dropped_p = prune_dominated (List.rev !precharge) in
   let problem =
     Problem.make
       ~inequalities:(timing_kept @ stage_kept @ slope_kept @ precharge_kept)
-      ~bounds:(label_bounds @ slope_bounds @ extra_bounds)
-      obj
+      ~bounds:label_bounds
+      (objective_posy objective netlist)
   in
   {
     problem;
@@ -446,50 +428,6 @@ let generate_internal ?rc_scales ~reductions ~budget ~objective_override
     stage_constraints = List.length stage_kept;
     dominated_pruned = dropped_t + dropped_s + dropped_sl + dropped_p;
   }
-
-let generate ?rc_scales ?(reductions = Paths.all_reductions) ?(objective = Area)
-    tech netlist spec =
-  generate_internal ?rc_scales ~reductions ~budget:(`Const spec.target_delay)
-    ~objective_override:None ~objective tech netlist spec
-
-let generate_min_delay ?(reductions = Paths.all_reductions) ?(area_weight = 1e-4)
-    tech netlist spec =
-  let obj =
-    Posy.add (Posy.var delay_variable) (Posy.scale area_weight (area_posy netlist))
-  in
-  generate_internal ~reductions ~budget:`Var ~objective_override:(Some obj)
-    ~objective:Area tech netlist spec
-
-(* Re-anchor a generated program at another corner of the same process
-   family: every coefficient is a polynomial in the corner scale [s]
-   (monomials track their RC-degree decomposition from the resistance
-   and capacitance leaves up), so projection is exact — identical to
-   regenerating at [Tech.scaled] up to floating-point rounding.  [None]
-   when any coefficient lost its decomposition, or the program carries
-   equalities (generation emits none). *)
-let project ~scale result =
-  if scale = 1. then Some result
-  else if result.problem.Problem.equalities <> [] then None
-  else
-    let exception Lost in
-    try
-      let posy p =
-        match Posy.project_rc scale p with
-        | Some q -> q
-        | None -> raise Lost
-      in
-      let problem =
-        {
-          result.problem with
-          Problem.objective = posy result.problem.Problem.objective;
-          Problem.inequalities =
-            List.map
-              (fun (n, p) -> (n, posy p))
-              result.problem.Problem.inequalities;
-        }
-      in
-      Some { result with problem; area = posy result.area }
-    with Lost -> None
 
 type budget_class = Timing | Precharge | Fixed
 
@@ -519,7 +457,30 @@ let rescale_by factor result =
   in
   { result with problem }
 
-let rescale result ~timing ~precharge =
-  if not (timing > 0. && precharge > 0.) then
-    Err.fail "Constraints.rescale: factors must be positive";
-  rescale_by (rescale_factors ~timing ~precharge) result
+(* The min-delay program is the same path sums over the makespan variable
+   instead of the constant target: each timing and stage constraint
+   [total / (target * mult) <= 1] times [target / delay$] is
+   [total / (delay$ * mult) <= 1]. *)
+let min_delay_of result ~target =
+  let per_delay = Monomial.make target [ (delay_variable, -1.) ] in
+  let problem = result.problem in
+  let problem =
+    {
+      problem with
+      Problem.objective =
+        Posy.add (Posy.var delay_variable) (Posy.scale 1e-4 result.area);
+      inequalities =
+        List.map
+          (fun (name, p) ->
+            match budget_class name with
+            | Timing -> (name, Posy.mul_monomial p per_delay)
+            | Precharge | Fixed -> (name, p))
+          problem.Problem.inequalities;
+      bounds = problem.Problem.bounds @ [ (delay_variable, 1., 1e6) ];
+    }
+  in
+  { result with problem }
+
+let generate_min_delay ?reductions tech netlist spec =
+  min_delay_of (generate ?reductions tech netlist spec)
+    ~target:spec.target_delay

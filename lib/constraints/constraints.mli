@@ -60,7 +60,6 @@ type result = {
 }
 
 val generate :
-  ?rc_scales:float list ->
   ?reductions:Smart_paths.Paths.reductions ->
   ?objective:objective ->
   Smart_tech.Tech.t ->
@@ -74,36 +73,15 @@ val generate :
     tech each time) yields programs over the {e same} variable set (the
     shared size labels) with the {e same} constraint names in the same
     order — only the posynomial coefficients differ.  Multi-corner robust
-    sizing ({!Smart_corners.Corners.generate_robust}) relies on exactly
+    sizing ({!Smart_corners.Corners.merge_generated}) relies on exactly
     this contract to tag and merge the per-corner programs into one GP,
     and to route per-corner budget factors by name through
-    {!rescale_factors}.
-
-    [rc_scales] declares that the program will stand in for a whole set
-    of RC-scaled corners (the scales are relative to [tech], as
-    [sqrt] of the {!Smart_tech.Tech.rc_ratio}): dominance pruning then
-    only drops a constraint redundant at {e every} scale, so one
-    generation pass followed by {!project} per corner yields exactly the
-    per-corner programs — without repeating the pipeline per corner. *)
-
-val project : scale:float -> result -> result option
-(** Re-anchor a generated program at corner scale [scale] (relative to
-    the tech it was generated at): each coefficient's RC-degree
-    decomposition — maintained from the resistance/capacitance leaves
-    through every posynomial operation — is evaluated at the new scale.
-    Exact up to floating-point rounding; the identity at [1.].  [None]
-    when a coefficient's decomposition was lost ({!Smart_posy.Monomial.rc}
-    empty) — callers fall back to regenerating at the scaled tech. *)
-
-val rescale : result -> timing:float -> precharge:float -> result
-(** Tighten (factor < 1) or relax the timing budgets — the outer loop's
-    "create new delay specification" step.  [timing] scales
-    evaluate/data-path budgets, [precharge] the per-stage precharge
-    budgets.  Slope and bound constraints are untouched. *)
+    {!rescale_factors}. *)
 
 val rescale_by : (string -> float) -> result -> result
 (** Scale each inequality by [factor name] — the problem-space twin of
-    {!Smart_gp.Solver.rescale_compiled} fed the same factors. *)
+    {!Smart_gp.Solver.rescale_compiled} fed the same factors, e.g.
+    {!rescale_factors}. *)
 
 type budget_class =
   | Timing  (** evaluate/data-path ([t:]) and stage ([stg:]) budgets *)
@@ -118,23 +96,31 @@ val budget_class : string -> budget_class
     interval analysis's sizer classes and lint's label coverage. *)
 
 val rescale_factors : timing:float -> precharge:float -> string -> float
-(** The per-constraint coefficient factor {!rescale} applies, keyed by
-    constraint name ([1.] for slope/bound constraints).  Feed this to
+(** The outer loop's "create new delay specification" step as a
+    per-constraint coefficient factor keyed by constraint name: the
+    evaluate/data-path and stage budgets are multiplied by [timing], the
+    per-stage precharge budgets by [precharge] (below 1 tightens), and
+    slope/bound constraints get [1.].  Feed this to {!rescale_by}, or to
     {!Smart_gp.Solver.rescale_compiled} to retarget budgets on an
     already-compiled program without regenerating or recompiling it. *)
 
 val delay_variable : string
-(** Name of the makespan variable used by {!generate_min_delay}. *)
+(** Name of the makespan variable of {!min_delay_of}. *)
+
+val min_delay_of : result -> target:float -> result
+(** The min-delay program of a program {!generate} built at
+    [target_delay = target]: every timing and stage constraint is
+    multiplied by [target / ]{!delay_variable}, so its evaluate budget
+    becomes the GP variable; the objective is that variable plus 1e-4 ×
+    area (to break ties), and the variable is bounded to [[1, 1e6]].
+    Solving yields the fastest delay the topology can reach within size
+    bounds.  Precharge and slope constraints are kept as they are.  Takes
+    an untagged (one-corner) program. *)
 
 val generate_min_delay :
   ?reductions:Smart_paths.Paths.reductions ->
-  ?area_weight:float ->
   Smart_tech.Tech.t ->
   Smart_circuit.Netlist.t ->
   spec ->
   result
-(** Like {!generate} but the evaluate-path budget is the GP variable
-    {!delay_variable} and the objective is that variable (plus
-    [area_weight] × area, default 1e-4, to break ties) — solving yields the
-    fastest delay the topology can reach within size bounds.  The
-    precharge budget stays fixed from [spec]. *)
+(** {!generate} at [spec], then {!min_delay_of} at its target. *)

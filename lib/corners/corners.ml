@@ -2,7 +2,6 @@ module Err = Smart_util.Err
 module Tech = Smart_tech.Tech
 module Constraints = Smart_constraints.Constraints
 module Problem = Smart_gp.Problem
-module Paths = Smart_paths.Paths
 
 type corner = { corner_name : string; rc_scale : float; tech : Tech.t }
 
@@ -145,57 +144,9 @@ let merge_generated per_corner =
     in
     { generated; per_corner }
 
-(* When every corner is a uniform RC excursion of the nominal one
-   ([Tech.rc_ratio] recognises each tech as [Tech.scaled] of the nominal
-   base), the per-corner programs share all structure — one generation
-   pass at the nominal corner, with coefficients carrying their RC-degree
-   decomposition, projects exactly onto the whole set.  [Some scales]
-   (one [sqrt rc_ratio] per corner, in corner order) when eligible. *)
-let projection_scales (s : set) =
-  let nom = nominal s in
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | c :: rest -> (
-      match Tech.rc_ratio ~base:nom.tech c.tech with
-      | Some k -> go (sqrt k :: acc) rest
-      | None -> None)
-  in
-  go [] s
-
-let generate_projected ?(reductions = Paths.all_reductions)
-    ?(objective = Constraints.Area) (s : set) netlist spec =
-  match projection_scales s with
-  | None -> None
-  | Some scales ->
-    let nom = nominal s in
-    let base =
-      Constraints.generate ~rc_scales:scales ~reductions ~objective nom.tech
-        netlist spec
-    in
-    let rec go acc cs ss =
-      match (cs, ss) with
-      | [], [] -> Some (List.rev acc)
-      | c :: cs, scale :: ss -> (
-        match Constraints.project ~scale base with
-        | Some r -> go ((c, r) :: acc) cs ss
-        | None -> None)
-      | _ -> None
-    in
-    go [] s scales
-
-let generate_robust ?(reductions = Paths.all_reductions)
-    ?(objective = Constraints.Area) (s : set) netlist spec =
-  (* Fast path: one nominal generation projected per corner (uniform
-     RC-scaled sets — the common case).  Otherwise the corners generate
-     independently. *)
-  match generate_projected ~reductions ~objective s netlist spec with
-  | Some per_corner -> merge_generated per_corner
-  | None ->
-    merge_generated
-      (List.map
-         (fun c ->
-           (c, Constraints.generate ~reductions ~objective c.tech netlist spec))
-         s)
+let generate_robust (s : set) netlist spec =
+  merge_generated
+    (List.map (fun c -> (c, Constraints.generate c.tech netlist spec)) s)
 
 let rescale_factors ~timing ~precharge name =
   if Array.length timing = 1 then

@@ -72,50 +72,20 @@ type merged = {
           across corners — the netlist is shared).  A one-corner set's
           program is that corner's own, untagged. *)
   per_corner : (corner * Constraints.result) list;
-      (** each corner's own generated program, in set order — the
-          problem-space reference for certification *)
+      (** each corner's own generated program, in set order — what the
+          sizer derives its min-delay pre-solve from *)
 }
 
-val generate_robust :
-  ?reductions:Smart_paths.Paths.reductions ->
-  ?objective:Constraints.objective ->
-  set ->
-  Smart_circuit.Netlist.t ->
-  Constraints.spec ->
-  merged
-(** Generate per-corner constraints against the shared size labels and
-    merge them into one GP.  When the set is a uniform RC-scaled family
-    of its nominal corner (the common case — see {!projection_scales}),
-    generation runs {e once} at the nominal tech and is projected per
-    corner ({!Smart_constraints.Constraints.project}) — the corners share
-    all structural work and the robust generation wall collapses to one
-    corner's.  Otherwise each corner generates on its own. *)
-
-val projection_scales : set -> float list option
-(** [Some scales] (one per corner, set order) when every corner's tech is
-    a uniform RC excursion of the nominal corner's
-    ({!Smart_tech.Tech.rc_ratio}); each entry is the corner scale [sqrt
-    rc_ratio] at which one nominal generation projects onto that corner.
-    [None] for heterogeneous sets — callers must generate per corner. *)
-
-val generate_projected :
-  ?reductions:Smart_paths.Paths.reductions ->
-  ?objective:Constraints.objective ->
-  set ->
-  Smart_circuit.Netlist.t ->
-  Constraints.spec ->
-  (corner * Constraints.result) list option
-(** The single-pass fast path behind {!generate_robust}: one generation
-    at the nominal corner (dominance pruning held to every corner scale),
-    projected onto each corner.  [None] when the set is not a uniform
-    RC-scaled family or a coefficient's RC decomposition was lost —
-    callers fall back to per-corner generation. *)
+val generate_robust : set -> Smart_circuit.Netlist.t -> Constraints.spec -> merged
+(** Generate each corner's area program (all path reductions) against
+    the shared size labels and merge them into one GP
+    ({!merge_generated}). *)
 
 val merge_generated : (corner * Constraints.result) list -> merged
 (** Merge per-corner programs already generated (in set order) — the
-    second half of {!generate_robust}, for callers that batch the
-    generation themselves.  Raises {!Smart_util.Err.Smart_error} on an
-    empty list. *)
+    second half of {!generate_robust}, for callers that run the
+    generations themselves (the sizer maps them over its worker pool).
+    Raises {!Smart_util.Err.Smart_error} on an empty list. *)
 
 val tag_of_index : int -> string
 (** The scenario tag ([c<i>]) {!generate_robust} gives corner [i]. *)

@@ -8,24 +8,17 @@ let intrinsic = 2.4
 let slope_gain = 2.0
 let slope_feedthrough = 0.2
 
-(* Resistance and capacitance leaves carry RC degree 1: a corner scale
-   [s] multiplies each of [rn]/[rp]/[cg]/[cd] by [s] (see Tech.scaled),
-   so every coefficient built from them is a polynomial in [s] whose
-   degree decomposition Posy maintains — the basis for projecting one
-   generated program onto a whole corner set. *)
 let resistance tech segs =
   Posy.of_monomials
     (List.map
        (fun { Drive.seg_label; seg_mult; seg_is_p } ->
          let r = if seg_is_p then tech.Tech.rp else tech.Tech.rn in
-         Monomial.make_deg ~deg:1. (r *. seg_mult) [ (seg_label, -1.) ])
+         Monomial.make (r *. seg_mult) [ (seg_label, -1.) ])
        segs)
 
 let cap_of_widths coeff widths =
   Posy.of_monomials
-    (List.map
-       (fun (l, m) -> Monomial.make_deg ~deg:1. (coeff *. m) [ (l, 1.) ])
-       widths)
+    (List.map (fun (l, m) -> Monomial.make (coeff *. m) [ (l, 1.) ]) widths)
 
 let self_cap tech cell =
   cap_of_widths
@@ -48,26 +41,17 @@ let local_inverter_delay tech cell =
   | Cell.Passgate { style = Cell.Cmos_tgate; label } ->
     let r =
       Posy.of_monomial
-        (Monomial.make_deg ~deg:1.
-           (tech.Tech.rn /. Cell.passgate_inv_n_ratio)
-           [ (label, -1.) ])
+        (Monomial.make (tech.Tech.rn /. Cell.passgate_inv_n_ratio) [ (label, -1.) ])
     in
     (* The inverter drives the complementary pass device's gate. *)
-    let c =
-      Posy.of_monomial (Monomial.make_deg ~deg:1. tech.Tech.cg [ (label, 1.) ])
-    in
+    let c = Posy.of_monomial (Monomial.make tech.Tech.cg [ (label, 1.) ]) in
     Some (rc tech r c)
   | Cell.Tristate { p_label; n_label } ->
     let r =
       Posy.of_monomial
-        (Monomial.make_deg ~deg:1.
-           (tech.Tech.rn /. Cell.tristate_inv_n_ratio)
-           [ (n_label, -1.) ])
+        (Monomial.make (tech.Tech.rn /. Cell.tristate_inv_n_ratio) [ (n_label, -1.) ])
     in
-    let c =
-      Posy.of_monomial
-        (Monomial.make_deg ~deg:1. tech.Tech.cg [ (p_label, 1.) ])
-    in
+    let c = Posy.of_monomial (Monomial.make tech.Tech.cg [ (p_label, 1.) ]) in
     Some (rc tech r c)
   | Cell.Passgate _ | Cell.Static _ | Cell.Domino _ -> None
 

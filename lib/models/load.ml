@@ -40,8 +40,7 @@ let rec symbolic t nid =
         (fun ((i : Netlist.instance), pin) ->
           List.map
             (fun (label, mult) ->
-              Monomial.make_deg ~deg:1. (t.tech.Tech.cg *. mult)
-                [ (label, 1.) ])
+              Monomial.make (t.tech.Tech.cg *. mult) [ (label, 1.) ])
             (Cell.pin_cap_widths i.Netlist.cell pin))
         readers
     in
@@ -54,8 +53,7 @@ let rec symbolic t nid =
             let diff_monos =
               List.map
                 (fun (label, mult) ->
-                  Monomial.make_deg ~deg:1. (t.tech.Tech.cd *. mult)
-                    [ (label, 1.) ])
+                  Monomial.make (t.tech.Tech.cd *. mult) [ (label, 1.) ])
                 diffs
             in
             (* Load behind the switch, seen through it when conducting. *)

@@ -16,37 +16,7 @@ val var : string -> t
 
 val make : float -> (string * float) list -> t
 (** [make c exps] is [c * prod x_i^e_i]; requires [c > 0].  Duplicate
-    variables have their exponents summed; zero exponents are dropped.
-    The coefficient is recorded as corner-invariant (RC degree 0). *)
-
-val make_deg : deg:float -> float -> (string * float) list -> t
-(** Like {!make}, but records the whole coefficient at RC degree [deg]:
-    at a corner whose R and C values are the nominal ones times [s], the
-    coefficient becomes [c * s^deg].  Constraint generation tags its
-    resistance and capacitance leaves with [~deg:1.]; every derived
-    coefficient then carries an exact degree decomposition maintained by
-    {!mul}, {!pow}, {!scale} and posynomial merging. *)
-
-val rc : t -> (float * float) list
-(** The coefficient's decomposition by RC degree, [(degree, partial)]
-    sorted by degree with the partials summing to {!coeff}.  [[]] when
-    the decomposition was lost (an operation could not maintain it);
-    {!project} and {!coeff_at} then return [None]. *)
-
-val with_rc : (float * float) list -> t -> t
-(** Replace the RC decomposition (normalised: equal degrees merged,
-    sorted).  Used by posynomial merging to sum decompositions alongside
-    coefficients; not meant for general use. *)
-
-val coeff_at : float -> t -> float option
-(** [coeff_at s m] is the coefficient at corner scale [s]:
-    [sum_d c_d * s^d].  [None] when the decomposition is lost.  At
-    [s = 1.] this is exactly {!coeff}. *)
-
-val project : float -> t -> t option
-(** [project s m] is the monomial re-anchored at corner scale [s]: same
-    exponents, coefficient {!coeff_at}[ s m].  Identity at [s = 1.];
-    [None] when the decomposition is lost. *)
+    variables have their exponents summed; zero exponents are dropped. *)
 
 val coeff : t -> float
 val exponents : t -> (string * float) list

@@ -10,26 +10,10 @@ let merge terms =
   List.iter
     (fun m ->
       let key = Monomial.exponents m in
-      (* Sum coefficients and their RC decompositions; one lost
-         decomposition ([rc = []]) poisons the merged term's. *)
-      let c, rc =
-        try Hashtbl.find tbl key with Not_found -> (0., Some [])
-      in
-      let rc =
-        match (rc, Monomial.rc m) with
-        | Some acc, (_ :: _ as r) -> Some (List.rev_append r acc)
-        | _ -> None
-      in
-      Hashtbl.replace tbl key (c +. Monomial.coeff m, rc))
+      let c = try Hashtbl.find tbl key with Not_found -> 0. in
+      Hashtbl.replace tbl key (c +. Monomial.coeff m))
     terms;
-  Hashtbl.fold
-    (fun key (c, rc) acc ->
-      let m = Monomial.make c key in
-      let m =
-        match rc with Some r -> Monomial.with_rc r m | None -> Monomial.with_rc [] m
-      in
-      m :: acc)
-    tbl []
+  Hashtbl.fold (fun key c acc -> Monomial.make c key :: acc) tbl []
   |> List.sort Monomial.compare
 
 let of_monomial m = [ m ]
@@ -114,34 +98,6 @@ let dominates p q =
       | Some c -> c >= Monomial.coeff m
       | None -> false)
     q
-
-let dominates_at ~scales p q =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun m -> Hashtbl.replace tbl (Monomial.exponents m) m) p;
-  List.for_all
-    (fun mq ->
-      match Hashtbl.find_opt tbl (Monomial.exponents mq) with
-      | None -> false
-      | Some mp ->
-        List.for_all
-          (fun s ->
-            match (Monomial.coeff_at s mp, Monomial.coeff_at s mq) with
-            | Some cp, Some cq -> cp >= cq
-            | _ -> false (* lost decomposition: keep the constraint *))
-          scales)
-    q
-
-let project_rc s t =
-  if s = 1. then Some t
-  else
-    let rec go acc = function
-      | [] -> Some (List.sort Monomial.compare acc)
-      | m :: rest -> (
-        match Monomial.project s m with
-        | Some m' -> go (m' :: acc) rest
-        | None -> None)
-    in
-    go [] t
 
 let pp ppf t =
   Format.pp_print_list

@@ -63,17 +63,5 @@ val dominates : t -> t -> bool
     (Sufficient, not necessary.)  Used for §5.2-style dominance pruning:
     a constraint [q <= 1] is implied by [p <= 1]. *)
 
-val dominates_at : scales:float list -> t -> t -> bool
-(** Like {!dominates}, but the coefficient comparison must hold at every
-    corner scale in [scales] (see {!Monomial.coeff_at}).  Conservative:
-    a term whose RC decomposition was lost never dominates.  Used when
-    one pruning pass stands in for several corners' — a constraint may
-    only be dropped if it is redundant at {e every} corner. *)
-
-val project_rc : float -> t -> t option
-(** [project_rc s t] re-anchors every coefficient at corner scale [s]
-    (see {!Monomial.project}) and restores term order.  Identity at
-    [s = 1.]; [None] when any term's decomposition was lost. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -114,59 +114,19 @@ let size_set ?(options = default_options) ?(mapper = sequential_mapper)
   let indexed = List.mapi (fun i c -> (i, c)) corner_list in
   let n = List.length corner_list in
   let multi = n > 1 in
-  (* The structurally worst corner (largest RC product) anchors the
-     min-delay pre-solve below. *)
-  let worst_corner =
-    List.fold_left
-      (fun (bc : Corners.corner) (cc : Corners.corner) ->
-        if cc.Corners.rc_scale > bc.Corners.rc_scale then cc else bc)
-      (List.hd corner_list) (List.tl corner_list)
+  (* One generation per corner, through the mapper: an engine-supplied
+     mapper runs the corners' independent generations on its worker
+     pool. *)
+  let merged =
+    Corners.merge_generated
+      (mapper.map
+         (fun (c : Corners.corner) ->
+           ( c,
+             Constraints.generate ~reductions:options.reductions
+               ~objective:options.objective c.Corners.tech netlist spec ))
+         corner_list)
   in
-  let gen_min_delay () =
-    Constraints.generate_min_delay ~reductions:options.reductions
-      worst_corner.Corners.tech netlist spec
-  in
-  (* One batch of constraint generations through the mapper: the corner
-     programs, plus — for a merged program the hint does not spare — the
-     pre-solve's min-delay program.  A uniform RC-scaled set collapses to
-     one projected generation pass ([Corners.generate_projected]);
-     heterogeneous sets generate per corner, where an engine-supplied
-     mapper can fan the independent tasks across its worker pool.  A
-     single corner generates its program plainly and the min-delay
-     program only once the absint gate has passed. *)
-  let gen_corner (c : Corners.corner) =
-    Constraints.generate ~reductions:options.reductions
-      ~objective:options.objective c.Corners.tech netlist spec
-  in
-  let tasks =
-    (if multi && Corners.projection_scales corners <> None then [ `Projected ]
-     else List.map (fun c -> `Corner c) corner_list)
-    @ if multi && options.min_delay_hint = None then [ `Min_delay ] else []
-  in
-  let generations =
-    mapper.map
-      (function
-        | `Projected -> (
-          match
-            Corners.generate_projected ~reductions:options.reductions
-              ~objective:options.objective corners netlist spec
-          with
-          | Some per_corner -> List.map snd per_corner
-          | None ->
-            (* A coefficient lost its RC decomposition: regenerate the
-               honest way. *)
-            List.map gen_corner corner_list)
-        | `Corner c -> [ gen_corner c ]
-        | `Min_delay -> [ gen_min_delay () ])
-      tasks
-    |> List.concat
-  in
-  let corner_gens = List.filteri (fun i _ -> i < n) generations in
-  let batched_min_delay = List.nth_opt generations n in
-  let generated =
-    (Corners.merge_generated (List.combine corner_list corner_gens))
-      .Corners.generated
-  in
+  let generated = merged.Corners.generated in
   (* Reject provably-infeasible specifications (at any corner) before
      the program is compiled or any GP solve runs (no gp.solve span is
      emitted on the fast-fail path). *)
@@ -274,7 +234,9 @@ let size_set ?(options = default_options) ?(mapper = sequential_mapper)
       indexed
   in
   (* Pre-solve: one min-delay solve on the structurally worst corner
-     reveals how fast the model thinks the topology can go.  If that is
+     (largest RC product), over that corner's program with its evaluate
+     budget made a variable ([Constraints.min_delay_of]), reveals how
+     fast the model thinks the topology can go.  If that is
      slower than the target, the loop would burn rounds discovering the
      same thing through infeasibility; start with the implied relaxation
      instead.  Its solution also seeds the first round's warm start (the
@@ -286,9 +248,13 @@ let size_set ?(options = default_options) ?(mapper = sequential_mapper)
   (match options.min_delay_hint with
   | Some d_model -> relax_to d_model
   | None -> (
-    let min_delay =
-      match batched_min_delay with Some g -> g | None -> gen_min_delay ()
+    let worst =
+      List.fold_left
+        (fun ((bc : Corners.corner), _ as b) ((cc : Corners.corner), _ as c) ->
+          if cc.Corners.rc_scale > bc.Corners.rc_scale then c else b)
+        (List.hd merged.Corners.per_corner) (List.tl merged.Corners.per_corner)
     in
+    let min_delay = Constraints.min_delay_of (snd worst) ~target in
     match Solver.solve min_delay.Constraints.problem with
     | Error _ -> ()
     | Ok sol -> (

@@ -99,9 +99,10 @@ val size_typed :
 (** {1 Multi-corner robust sizing} *)
 
 type mapper = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-(** How {!size_robust_typed} runs its independent per-corner golden
-    verifies: {!sequential_mapper} runs them in order; the engine passes
-    its worker pool so the corners verify concurrently. *)
+(** How {!size_robust_typed} runs its independent per-corner work — the
+    constraint generations, then each round's golden verifies:
+    {!sequential_mapper} runs them in order; the engine passes its worker
+    pool so the corners generate and verify concurrently. *)
 
 val sequential_mapper : mapper
 
@@ -136,8 +137,9 @@ val size_robust_typed :
   (robust_outcome, Smart_util.Err.t) result
 (** Joint robust sizing — the one Figure 4 loop: one width assignment
     that the golden timer confirms at {e every} corner of the set.
-    Constraint generation runs once per corner against the shared size
-    labels, the per-corner programs are merged into one GP
+    Constraint generation runs once per corner (through [mapper])
+    against the shared size labels, the per-corner programs are merged
+    into one GP
     ({!Smart_corners.Corners.merge_generated}; a one-corner set keeps its
     own untagged program) compiled once and warm-started across
     respecification rounds, and each round golden-verifies all corners

@@ -75,41 +75,6 @@ let scaled ?(rc_scale = 1.) ?name t =
     rc_scale = t.rc_scale *. rc_scale;
   }
 
-(* [rc_ratio ~base t] recognises [t] as [scaled ~rc_scale:k base]: every
-   field outside the four R/C values (and the name / cumulative scale
-   bookkeeping) must match exactly — [scaled] copies them verbatim — and
-   [rn]/[rp]/[cg]/[cd] must each sit within [tol] of [base]'s value times
-   [sqrt k], where [k] is read off the recorded cumulative scales. *)
-let rc_ratio ?(tol = 1e-9) ~base t =
-  let invariant_fields_match =
-    base.vdd = t.vdd && base.freq_ghz = t.freq_ghz && base.w_min = t.w_min
-    && base.w_max = t.w_max && base.slope_max = t.slope_max
-    && base.default_input_slope = t.default_input_slope
-    && base.pass_r_penalty = t.pass_r_penalty
-    && base.beta = t.beta
-    && base.self_cap_fraction = t.self_cap_fraction
-    && base.wire_cap_per_fanout = t.wire_cap_per_fanout
-    && base.logic_delay_fit = t.logic_delay_fit
-    && base.slope_sensitivity = t.slope_sensitivity
-    && base.gate_fit = t.gate_fit
-  in
-  if not invariant_fields_match then None
-  else begin
-    let k = t.rc_scale /. base.rc_scale in
-    if not (k > 0.) then None
-    else begin
-      let s = sqrt k in
-      let close a b = Float.abs (a -. b) <= tol *. Float.abs b in
-      if
-        close t.rn (base.rn *. s)
-        && close t.rp (base.rp *. s)
-        && close t.cg (base.cg *. s)
-        && close t.cd (base.cd *. s)
-      then Some k
-      else None
-    end
-  end
-
 let gate_fit_of t name =
   match List.assoc_opt name t.gate_fit with Some f -> f | None -> 1.0
 

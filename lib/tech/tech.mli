@@ -57,15 +57,6 @@ val scaled : ?rc_scale:float -> ?name:string -> t -> t
     previous ["-scaled"] suffix — repeated anonymous scaling never
     compounds the name. *)
 
-val rc_ratio : ?tol:float -> base:t -> t -> float option
-(** [rc_ratio ~base t] is [Some k] when [t] is (up to a relative [tol],
-    default 1e-9, on the R/C fields) the process [scaled ~rc_scale:k
-    base]: every non-R/C field equal, and [rn]/[rp]/[cg]/[cd] scaled by
-    a common [sqrt k] consistent with the recorded cumulative
-    {!type-t.rc_scale}s.  Recognising a corner set as uniform RC
-    excursions of one base lets constraint generation run once at the
-    base and project per corner. *)
-
 val res_n : t -> float -> float
 (** [res_n t w] is the NMOS on-resistance (kΩ) at width [w] µm. *)
 

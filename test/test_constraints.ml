@@ -139,7 +139,7 @@ let test_objectives () =
 
 let test_rescale () =
   let gen = C.generate tech (inverter_chain ()) (C.spec 100.) in
-  let scaled = C.rescale gen ~timing:0.5 ~precharge:1.0 in
+  let scaled = C.rescale_by (C.rescale_factors ~timing:0.5 ~precharge:1.0) gen in
   (* Tightening by 2 doubles every timing posynomial's value. *)
   let value g =
     let _, p = List.hd g.C.problem.P.inequalities in

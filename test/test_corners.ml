@@ -193,79 +193,40 @@ let test_engine_cache_corner_sets_distinct () =
       (List.length ro.Sizer.per_corner = 3)
   | Error e, _ -> Alcotest.fail (Smart.Error.to_string e)
 
-(* The default set is a uniform RC-scaled family of its nominal corner,
-   so one projected generation pass must serve all three corners. *)
-let test_projection_scales_default_set () =
-  match Corners.projection_scales (Corners.default_set ()) with
-  | None -> Alcotest.fail "default set not recognised as RC-scaled family"
-  | Some scales ->
-    Alcotest.(check (list (float 1e-9)))
-      "corner scales are sqrt rc_ratio"
-      [ sqrt 0.6; 1.0; sqrt 1.4 ]
-      scales
-
-let test_projection_scales_heterogeneous () =
-  (* A corner built on a different base process (here a different beta)
-     is not a pure RC excursion — the fast path must refuse it. *)
-  let odd_base = { Tech.default with Tech.beta = Tech.default.Tech.beta *. 1.1 } in
-  let set =
-    Corners.of_corners
-      [
-        Corners.corner ~name:"typ" ~rc_scale:1.0 ();
-        Corners.corner ~base:odd_base ~name:"odd" ~rc_scale:1.4 ();
-      ]
-  in
-  checkb "heterogeneous set rejected" true (Corners.projection_scales set = None)
-
-(* Projection exactness: the single nominal generation pass, projected
-   per corner, reproduces the per-corner generated programs — same
-   constraint sets, coefficients equal to roundoff.  This is what makes
-   generate_robust's fast path safe to take silently. *)
-let test_generate_projected_matches_per_corner () =
+(* The engine's pooled mapper runs a corner set's generations and each
+   round's verifies on its worker pool; the answer must not depend on it.
+   A 2-worker engine and a one-worker engine size the 8-bit adder over
+   fast/typ/slow to the bit. *)
+let test_pooled_robust_matches_sequential () =
   let nl = (Smart.Cla_adder.generate ~bits:8 ()).Smart.Macro.netlist in
-  let set = Corners.default_set () in
-  let spec = C.spec 200. in
-  match Corners.generate_projected set nl spec with
-  | None -> Alcotest.fail "default set should project"
-  | Some projected ->
-    List.iter2
-      (fun ((corner : Corners.corner), (rp : C.result)) (c : Corners.corner) ->
-        Alcotest.(check string) "corner order" c.Corners.corner_name
-          corner.Corners.corner_name;
-        let rd = C.generate c.Corners.tech nl spec in
-        let ineqs (r : C.result) = r.C.problem.Smart_gp.Problem.inequalities in
-        Alcotest.(check int)
-          (corner.Corners.corner_name ^ " constraint count")
-          (List.length (ineqs rd))
-          (List.length (ineqs rp));
-        let tbl = Hashtbl.create 256 in
-        List.iter (fun (n, p) -> Hashtbl.replace tbl n p) (ineqs rd);
-        List.iter
-          (fun (n, p) ->
-            match Hashtbl.find_opt tbl n with
-            | None -> Alcotest.failf "%s: projected-only constraint %s"
-                        corner.Corners.corner_name n
-            | Some q ->
-              let mt = Hashtbl.create 32 in
-              List.iter
-                (fun m ->
-                  Hashtbl.replace mt (Smart.Monomial.exponents m)
-                    (Smart.Monomial.coeff m))
-                (Smart.Posy.monomials q);
-              List.iter
-                (fun m ->
-                  match Hashtbl.find_opt mt (Smart.Monomial.exponents m) with
-                  | None -> Alcotest.failf "%s/%s: term mismatch"
-                              corner.Corners.corner_name n
-                  | Some cd ->
-                    let cp = Smart.Monomial.coeff m in
-                    if abs_float (cp -. cd) > 1e-12 *. abs_float cd then
-                      Alcotest.failf "%s/%s: coeff %.17g vs %.17g"
-                        corner.Corners.corner_name n cp cd)
-                (Smart.Posy.monomials p))
-          (ineqs rp))
-      projected
-      (Corners.to_list set)
+  let size workers =
+    let e = Engine.create ~workers ~cache_capacity:0 () in
+    match
+      Engine.size_robust e ~options:Sizer.default_options (Corners.default_set ()) nl
+        (C.spec 400.)
+    with
+    | Ok ro -> ro
+    | Error err -> Alcotest.fail (Smart.Error.to_string err)
+  in
+  let pooled = size 2 and sequential = size 1 in
+  let bits = Int64.bits_of_float in
+  let widths (ro : Sizer.robust_outcome) =
+    List.map (fun (l, w) -> (l, bits w)) ro.Sizer.robust.Sizer.sizing
+  in
+  let reports (ro : Sizer.robust_outcome) =
+    List.map
+      (fun (r : Sizer.corner_report) ->
+        ( r.Sizer.corner_name,
+          List.map bits
+            [ r.Sizer.corner_delay; r.Sizer.corner_precharge; r.Sizer.corner_slack ] ))
+      ro.Sizer.per_corner
+  in
+  Alcotest.(check (list (pair string int64)))
+    "widths" (widths sequential) (widths pooled);
+  Alcotest.(check (list (pair string (list int64))))
+    "per-corner reports" (reports sequential) (reports pooled);
+  Alcotest.(check string) "binding corner" sequential.Sizer.binding_corner
+    pooled.Sizer.binding_corner
 
 (* Loop accounting: the counters a sizing reports must match the spans
    its loop emitted, for a single-technology sizing and a 3-corner one. *)
@@ -395,15 +356,6 @@ let test_merged_program_shares_basis () =
 let () =
   Alcotest.run "smart_corners"
     [
-      ( "projection",
-        [
-          Alcotest.test_case "default set scales" `Quick
-            test_projection_scales_default_set;
-          Alcotest.test_case "heterogeneous set refused" `Quick
-            test_projection_scales_heterogeneous;
-          Alcotest.test_case "projected = per-corner generation" `Quick
-            test_generate_projected_matches_per_corner;
-        ] );
       ( "corners",
         [
           Alcotest.test_case "FO4 ordering" `Quick test_fo4_ordering;
@@ -422,6 +374,8 @@ let () =
             test_robust_domino_precharge;
           Alcotest.test_case "engine cache keeps sets apart" `Slow
             test_engine_cache_corner_sets_distinct;
+          Alcotest.test_case "pooled = sequential" `Slow
+            test_pooled_robust_matches_sequential;
         ] );
       ( "accounting",
         [

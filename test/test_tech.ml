@@ -55,28 +55,6 @@ let test_scaled_sqrt_split () =
   checkf 1e-9 "RC product scales linearly" (4. *. t.Tech.rn *. t.Tech.cg)
     (s.Tech.rn *. s.Tech.cg)
 
-let test_rc_ratio_recognises_scaled () =
-  (match Tech.rc_ratio ~base:t t with
-  | Some k -> checkf 1e-12 "identity is ratio 1" 1.0 k
-  | None -> Alcotest.fail "identity not recognised");
-  (match Tech.rc_ratio ~base:t (Tech.scaled ~rc_scale:1.4 ~name:"slow" t) with
-  | Some k -> checkf 1e-9 "scaled corner recovered" 1.4 k
-  | None -> Alcotest.fail "scaled corner not recognised");
-  match Tech.rc_ratio ~base:t (Tech.scaled ~rc_scale:2. (Tech.scaled ~rc_scale:3. t)) with
-  | Some k -> checkf 1e-9 "composition recovered" 6.0 k
-  | None -> Alcotest.fail "composed scaling not recognised"
-
-let test_rc_ratio_rejects_other_excursions () =
-  (* Any non-RC parameter difference disqualifies the pure-RC fast path. *)
-  checkb "beta excursion rejected" true
-    (Tech.rc_ratio ~base:t { t with Tech.beta = t.Tech.beta *. 1.01 } = None);
-  checkb "vdd excursion rejected" true
-    (Tech.rc_ratio ~base:t { t with Tech.vdd = t.Tech.vdd +. 0.1 } = None);
-  (* An RC change that does not split as sqrt across R and C is not a
-     uniform excursion either. *)
-  checkb "lopsided RC rejected" true
-    (Tech.rc_ratio ~base:t { t with Tech.rn = t.Tech.rn *. 1.4 } = None)
-
 let test_parameter_sanity () =
   checkb "PMOS weaker" true (t.Tech.rp > t.Tech.rn);
   checkb "bounds ordered" true (t.Tech.w_min < t.Tech.w_max);
@@ -97,10 +75,6 @@ let () =
           Alcotest.test_case "cumulative rc_scale" `Quick
             test_scaled_cumulative_rc_scale;
           Alcotest.test_case "sqrt RC split" `Quick test_scaled_sqrt_split;
-          Alcotest.test_case "rc_ratio recognises scaled" `Quick
-            test_rc_ratio_recognises_scaled;
-          Alcotest.test_case "rc_ratio rejects other excursions" `Quick
-            test_rc_ratio_rejects_other_excursions;
           Alcotest.test_case "parameter sanity" `Quick test_parameter_sanity;
         ] );
     ]
